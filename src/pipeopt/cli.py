@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -19,6 +20,7 @@ from . import bounds as bounds_mod
 from . import generators
 from .errors import CapacityError, InputError
 from .exante import solve_exante_maximin
+from .model import validate_instance
 from .dp_maximin import solve_expost_maximin
 from .dp_welfare import solve_social_welfare
 from .oracle import oracle_exante_maximin, oracle_expost_maximin, oracle_welfare
@@ -77,7 +79,6 @@ def _cmd_solve(args, kind: str) -> int:
             instance, args.epsilon, rounds=args.rounds
         )
         out_payload = mixture_to_dict(mixture)
-    report.solver_meta["threads"] = args.threads
     if args.out:
         _write_json(args.out, out_payload)
     if args.csv:
@@ -158,6 +159,9 @@ def _cmd_gen(args) -> int:
         )
     else:
         raise InputError(f"unknown family {args.family!r}")
+    violations = validate_instance(instance)
+    if violations:  # e.g. a NaN --B; never write a file `validate` refuses
+        raise InputError("generated instance is invalid: " + "; ".join(violations))
     payload = instance_to_dict(instance)
     if args.out:
         _write_json(args.out, payload)
@@ -166,6 +170,28 @@ def _cmd_gen(args) -> int:
     else:
         _emit(payload)
     return EXIT_OK
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number > 0 (discretization and grid steps)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (round counts)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,12 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, epsilon=True):
         p.add_argument("--instance", required=True, help="instance JSON path")
         if epsilon:
-            p.add_argument("--epsilon", type=float, required=True,
+            p.add_argument("--epsilon", type=_positive_float, required=True,
                            help="discretization step")
         p.add_argument("--out", help="write plan/mixture JSON here")
         p.add_argument("--csv", help="write per-population rewards CSV here")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (current solvers are sequential)")
 
     p = sub.add_parser("validate", help="check an instance file")
     p.add_argument("--instance", required=True)
@@ -196,19 +220,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-exante", help="approximate randomized maximin")
     add_common(p)
-    p.add_argument("--rounds", type=int, default=None,
+    p.add_argument("--rounds", type=_positive_int, default=None,
                    help="dynamics horizon (default from epsilon)")
 
     p = sub.add_parser("oracle", help="brute-force grid baselines")
     p.add_argument("--instance", required=True)
-    p.add_argument("--grid", type=float, required=True, help="enumeration step")
+    p.add_argument("--grid", type=_positive_float, required=True,
+                   help="enumeration step")
     p.add_argument("--objective", default="all",
                    choices=["welfare", "maximin", "exante", "all"])
     p.add_argument("--out", help="write the exante mixture JSON here")
 
     p = sub.add_parser("bounds", help="analytic bounds and the fairness-price bracket")
     p.add_argument("--instance", required=True)
-    p.add_argument("--epsilon", type=float, default=None,
+    p.add_argument("--epsilon", type=_positive_float, default=None,
                    help="also compute the empirical fairness-price bracket")
 
     p = sub.add_parser("gen", help="generate a named instance")

@@ -2,9 +2,10 @@
 
 Identical sweep structure to the welfare DP, but a cell tracks one guessed
 distribution per starting population (a tuple of simplex-net points), and the
-connecting transition is priced by the epigraph LP that maximizes the worst
-population's value.  At the first layer the population tuple is exact: each
-population sits on its own starting node.
+connecting transition is priced by the maximin step that maximizes the worst
+population's value (`solve_maximin_step`: LP-free for two populations with
+unit costs, an epigraph LP otherwise).  At the first layer the population
+tuple is exact: each population sits on its own starting node.
 
 The population tuple space is the net raised to the number of populations,
 so this DP is exponential in the first-layer size by design; the cell cap
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -67,6 +69,7 @@ class MaximinDP:
                 self._nets_by_dim[d] = build_simplex_net(d, epsilon, cap=net_cap)
             self.nets[t] = self._nets_by_dim[d]
         self.cells_built = 0
+        self.step_calls = Counter()  # LayerStepResult.path -> calls
         self._rvec = {}
         self._choice = {}
         self._groups = {}
@@ -86,11 +89,11 @@ class MaximinDP:
     def _canonical_rank(self, t: int, rank: int) -> int:
         """Rank of the sorted version of the tuple.
 
-        Permuting the populations permutes the step LP's constraints without
-        changing the feasible set or objective, so permuted tuples share one
-        optimal value and may share one optimal matrix; solving only sorted
-        tuples keeps results deterministic and halves (or better) the LP
-        count.
+        Permuting the populations permutes the step's worst-population terms
+        without changing the feasible set or objective, so permuted tuples
+        share one optimal value and may share one optimal matrix; solving
+        only sorted tuples keeps results deterministic and halves (or better)
+        the step count.
         """
         digits = sorted(self._tuple_digits(t, rank))
         n = len(self.nets[t])
@@ -118,7 +121,7 @@ class MaximinDP:
         # The polish pass only reshuffles ties among optimal matrices; one
         # consistent choice everywhere keeps the memo and the reconstructed
         # plan aligned, so it stays off inside the DP.
-        return solve_maximin_step(
+        res = solve_maximin_step(
             r_out, a_in,
             self.instance.initial_matrices[t],
             self.instance.malleable[t],
@@ -126,6 +129,8 @@ class MaximinDP:
             self.instance.cost_model.layer_weights(t),
             polish=False,
         )
+        self.step_calls[res.path] += 1
+        return res
 
     def _scan(self, t: int, a_in, bi: int):
         inst = self.instance
@@ -215,6 +220,7 @@ class MaximinDP:
             "net_sizes": {t: len(n) for t, n in self.nets.items()},
             "population_tuples": {t: self._n_tuples(t) for t in self.nets},
             "cells": self.cells_built,
+            "step_calls": {"dual": 0, "lp": 0, **self.step_calls},
         }
 
 

@@ -11,8 +11,16 @@ The welfare step is solved by an exact greedy rather than a generic LP
 solver: any feasible matrix decomposes into donor->recipient mass moves
 inside columns, each unit of budget spent on a move has a fixed gain rate,
 and donor capacities are independent, so filling the best rates first is
-optimal (a fractional knapsack).  The maximin step genuinely couples
-populations and goes through an LP (HiGHS via scipy).
+optimal (a fractional knapsack).
+
+The maximin step couples populations.  With two populations and unit costs
+it needs no LP: by the minimax theorem its value is the smallest welfare-step
+value over mixtures of the two population inputs, found exactly at a
+breakpoint of the greedy order, and the optimal matrix mixes the greedy
+matrices on either side of that breakpoint (`_two_population_step`).  With
+three or more populations, weighted costs, or the `polish` re-solve, it goes
+through an epigraph LP (HiGHS via scipy), which also serves as the reference
+that tests check the LP-free step against.
 """
 
 from __future__ import annotations
@@ -35,6 +43,9 @@ class LayerStepResult:
     matrix: np.ndarray
     objective: float
     lp_status: str  # "OPTIMAL" | "INFEASIBLE"
+    # How the step was priced: "initial" (nothing to move, m0 returned),
+    # "greedy", "dual" (two-population minimax) or "lp".
+    path: str
 
 
 def cost_model_evaluate(cost_model: CostModel, m, m0, layer: int = 0) -> float:
@@ -143,7 +154,8 @@ class WelfareStepSolver:
             m[donor, u] -= mass
             m[recipient, u] += mass
         obj = float(self.r_out @ m @ d_in)
-        return LayerStepResult(matrix=m, objective=obj, lp_status="OPTIMAL")
+        return LayerStepResult(matrix=m, objective=obj, lp_status="OPTIMAL",
+                               path="greedy")
 
     def _solve_weighted_lp(self, d_in, budget) -> LayerStepResult:
         res = _weighted_welfare_lp(
@@ -161,7 +173,7 @@ def _weighted_welfare_lp(r_out, d_in, m0, mask, budget, weights) -> LayerStepRes
     if n == 0 or budget <= 0:
         return LayerStepResult(matrix=m0.copy(),
                                objective=float(r_out @ m0 @ d_in),
-                               lp_status="OPTIMAL")
+                               lp_status="OPTIMAL", path="initial")
     c = np.zeros(2 * n)
     w_e = np.empty(n)
     m0_e = np.empty(n)
@@ -207,7 +219,7 @@ def _weighted_welfare_lp(r_out, d_in, m0, mask, budget, weights) -> LayerStepRes
         m[v, u] = res.x[e]
     m = _repair_columns(m, m0, mask, weights, budget)
     return LayerStepResult(matrix=m, objective=float(-res.fun) + frozen_value,
-                           lp_status="OPTIMAL")
+                           lp_status="OPTIMAL", path="lp")
 
 
 def solve_welfare_step(r_out, d_in, m0, mask, budget_step, cost_weights=None) -> LayerStepResult:
@@ -243,15 +255,82 @@ def _repair_columns(m, m0, mask, weights, budget):
     return out
 
 
+# Greedy-order crossings closer than this are one breakpoint.  Equal rates in
+# different columns cross at points that differ only by rounding; a midpoint
+# between two of them would sit on a tie and pick the wrong side.
+_CROSSING_MERGE_TOL = 1e-12
+
+
+def _two_population_step(r_out, a_in, m0, mask, budget) -> LayerStepResult:
+    """Exact unit-cost maximin step for two populations, without an LP.
+
+    The step value min_j r_out^T M a_j is bilinear in M and in the population
+    weight lam, and both sets are convex and compact, so by the minimax
+    theorem it equals the minimum over lam in [0, 1] of the welfare step
+    W(lam) = max_M r_out^T M d(lam), d(lam) = lam a_1 + (1 - lam) a_2.  W is
+    convex and piecewise linear: the greedy order, and with it the greedy
+    matrix, changes only where two segments of different columns swap rank,
+    so the minimum sits at 0, 1 or one of those crossings.  The greedy
+    matrices of the pieces on either side of the minimizer are both optimal
+    there, one favouring each population; their mix that equalizes the two
+    population values attains the minimum, and it is feasible because the
+    feasible set is convex.
+    """
+    solver = WelfareStepSolver(r_out, m0, mask)
+    a1, a2 = a_in
+    segs = [(seg[0], u) for u, col in enumerate(solver._segments) for seg in col]
+    rate = np.array([s[0] for s in segs])
+    col = np.array([s[1] for s in segs], dtype=np.int64)
+    # Effective rate of segment s at lam: base[s] + lam * slope[s].
+    base = rate * a2[col]
+    slope = rate * (a1 - a2)[col]
+    i, j = np.triu_indices(len(segs), k=1)
+    cross = (col[i] != col[j]) & (slope[i] != slope[j])
+    i, j = i[cross], j[cross]
+    lams = (base[j] - base[i]) / (slope[i] - slope[j])
+    lams = np.sort(lams[(lams > _CROSSING_MERGE_TOL)
+                        & (lams < 1.0 - _CROSSING_MERGE_TOL)])
+    points = [0.0]
+    for lam in lams:
+        if lam - points[-1] > _CROSSING_MERGE_TOL:
+            points.append(float(lam))
+    points.append(1.0)
+
+    def mix(lam):
+        return lam * a1 + (1.0 - lam) * a2
+
+    k = int(np.argmin([solver.value(mix(lam), budget) for lam in points]))
+    # Greedy matrix of each piece next to the minimizer, taken at its middle.
+    pieces = points[max(k - 1, 0):k + 2]
+    sides = [solver.solve(mix(0.5 * (lo + hi)), budget).matrix
+             for lo, hi in zip(pieces, pieces[1:])]
+    m = sides[0]
+    if len(sides) == 2:
+        left, right = sides
+        # gap = value(population 1) - value(population 2): <= 0 on the left
+        # piece and >= 0 on the right one, up to rounding.
+        gap_l, gap_r = (float((r_out @ s) @ (a1 - a2)) for s in sides)
+        theta = gap_r / (gap_r - gap_l) if gap_r > gap_l else 1.0
+        theta = min(max(theta, 0.0), 1.0)
+        # Entries both sides agree on, the frozen ones among them, stay
+        # bitwise; the mix would change them in the last bit.
+        m = np.where(left == right, left, theta * left + (1.0 - theta) * right)
+    values = (r_out @ m) @ a_in.T
+    return LayerStepResult(matrix=m, objective=float(values.min()),
+                           lp_status="OPTIMAL", path="dual")
+
+
 def solve_maximin_step(r_out, a_in, m0, mask, budget_step, cost_weights=None,
                        polish: bool = True) -> LayerStepResult:
-    """Maximize min_j r_out^T M a_in[j] over feasible M (epigraph LP).
+    """Maximize min_j r_out^T M a_in[j] over feasible M.
 
     a_in is a (populations, source-layer-size) array of per-population input
-    distributions.  With `polish` a second solve, at the optimal objective,
-    maximizes the summed population values among optima; this removes
-    gratuitous reward damage that an arbitrary optimal vertex might carry and
-    keeps results deterministic.
+    distributions.  Two populations with unit costs and no `polish` take the
+    LP-free `_two_population_step`; everything else is an epigraph LP.  With
+    `polish` a second solve, at the optimal objective, maximizes the summed
+    population values among optima; this removes gratuitous reward damage
+    that an arbitrary optimal vertex might carry and keeps results
+    deterministic.
     """
     r_out = np.asarray(r_out, dtype=float)
     a_in = np.atleast_2d(np.asarray(a_in, dtype=float))
@@ -274,7 +353,9 @@ def solve_maximin_step(r_out, a_in, m0, mask, budget_step, cost_weights=None,
     base_rewards = (r_out @ m0) @ a_in.T  # value per population if M = m0
     if n == 0 or budget_step == 0:
         return LayerStepResult(matrix=m0.copy(), objective=float(base_rewards.min()),
-                               lp_status="OPTIMAL")
+                               lp_status="OPTIMAL", path="initial")
+    if pops == 2 and weights is None and not polish:
+        return _two_population_step(r_out, a_in, m0, mask, budget_step)
 
     ncols = m0.shape[1]
     # coef[j, e] = r_out[v] * a_in[j, u] for entry e = (v, u)
@@ -360,4 +441,5 @@ def solve_maximin_step(r_out, a_in, m0, mask, budget_step, cost_weights=None,
     for e, (v, u) in enumerate(entries):
         m[v, u] = x[e]
     m = _repair_columns(m, m0, mask, weights, budget_step)
-    return LayerStepResult(matrix=m, objective=v_star, lp_status="OPTIMAL")
+    return LayerStepResult(matrix=m, objective=v_star, lp_status="OPTIMAL",
+                           path="lp")

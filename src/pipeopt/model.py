@@ -163,6 +163,9 @@ def validate_instance(instance: Instance) -> list:
             continue
         if mask.shape != want:
             out.append(f"mask {t} has shape {mask.shape}, expected {want}")
+        if not np.all(np.isfinite(m)):
+            out.append(f"transition {t} entry {_first_nonfinite(m)} is not finite")
+            continue
         if np.any(m < -ATOL) or np.any(m > 1 + ATOL):
             bad = np.argwhere((m < -ATOL) | (m > 1 + ATOL))[0]
             out.append(
@@ -180,11 +183,15 @@ def validate_instance(instance: Instance) -> list:
         out.append(
             f"rewards has shape {instance.rewards.shape}, expected ({sizes[-1]},)"
         )
+    elif not np.all(np.isfinite(instance.rewards)):
+        out.append(f"reward {_first_nonfinite(instance.rewards)} is not finite")
     elif np.any(instance.rewards < 0):
         out.append("rewards must be non-negative")
     d1 = instance.initial_distribution
     if d1.shape != (sizes[0],):
         out.append(f"initial distribution has shape {d1.shape}, expected ({sizes[0]},)")
+    elif not np.all(np.isfinite(d1)):
+        out.append(f"initial distribution entry {_first_nonfinite(d1)} is not finite")
     else:
         if np.any(d1 <= 0):
             u = int(np.argmin(d1))
@@ -193,7 +200,9 @@ def validate_instance(instance: Instance) -> list:
             )
         if abs(d1.sum() - 1.0) > ATOL:
             out.append(f"initial distribution sums to {d1.sum():.12g}")
-    if instance.budget < 0:
+    if not np.isfinite(instance.budget):
+        out.append(f"budget {instance.budget} is not finite")
+    elif instance.budget < 0:
         out.append(f"budget {instance.budget} is negative")
     if instance.cost_model.kind == "weighted_l1":
         if len(instance.cost_model.weights) != len(sizes) - 1:
@@ -202,7 +211,16 @@ def validate_instance(instance: Instance) -> list:
             for t, w in enumerate(instance.cost_model.weights):
                 if w.shape != (sizes[t + 1], sizes[t]):
                     out.append(f"cost weight matrix {t} has shape {w.shape}")
+                elif not np.all(np.isfinite(w)):
+                    out.append(f"cost weight matrix {t} entry "
+                               f"{_first_nonfinite(w)} is not finite")
     return out
+
+
+def _first_nonfinite(a: np.ndarray) -> str:
+    """Index and value of the first NaN or infinite entry, for messages."""
+    idx = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
+    return f"{idx if len(idx) > 1 else idx[0]} = {a[idx]}"
 
 
 def cost(m, m0) -> float:

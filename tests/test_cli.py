@@ -195,9 +195,88 @@ class TestCli:
         assert out["maximin_lower_bound"] == pytest.approx(1 / 6)
         assert out["fairness_price"]["upper"] == pytest.approx(4.0)
 
-    def test_threads_flag_recorded(self, capsys, contrast_file):
-        code, out = run_cli(capsys, "solve-welfare", "--instance",
-                            contrast_file, "--epsilon", "0.05",
-                            "--threads", "4")
-        assert code == 0
-        assert out["meta"]["threads"] == 4
+    def test_threads_flag_rejected(self, capsys, contrast_file):
+        # The solvers are sequential; a flag that changed nothing is gone.
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-welfare", "--instance", contrast_file,
+                  "--epsilon", "0.05", "--threads", "4"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_maximin_reports_step_paths(self, capsys, contrast_file):
+        _, out = run_cli(capsys, "solve-maximin", "--instance", contrast_file,
+                         "--epsilon", "0.25")
+        # Three populations price their steps with the LP.
+        assert out["meta"]["step_calls"]["dual"] == 0
+        assert out["meta"]["step_calls"]["lp"] > 0
+
+
+def _mutate(path, tmp_path, edit):
+    data = json.load(open(path))
+    edit(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))  # writes NaN / Infinity literals
+    return str(bad)
+
+
+def _weighted(data, value):
+    data["cost_model"] = {"kind": "weighted_l1",
+                          "weights": [[[1.0] * len(row) for row in t]
+                                      for t in data["transitions"]]}
+    data["cost_model"]["weights"][0][1][0] = value
+
+
+NON_FINITE = {
+    "reward_nan": lambda d: d["rewards"].__setitem__(0, float("nan")),
+    "reward_inf": lambda d: d["rewards"].__setitem__(1, float("inf")),
+    "transition_nan": lambda d: d["transitions"][0][1].__setitem__(0, float("nan")),
+    "initial_nan": lambda d: d["initial_distribution"].__setitem__(0, float("nan")),
+    "budget_nan": lambda d: d.__setitem__("budget", float("nan")),
+    "budget_inf": lambda d: d.__setitem__("budget", float("inf")),
+    "weight_nan": lambda d: _weighted(d, float("nan")),
+    "weight_inf": lambda d: _weighted(d, float("inf")),
+}
+
+
+class TestInputRefusal:
+    """Bad input exits 2 before any solver runs, never NaN or a traceback."""
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    @pytest.mark.parametrize("command", ["validate", "solve-welfare",
+                                         "solve-maximin"])
+    def test_non_finite_instance_exits_2(self, capsys, tmp_path, contrast_file,
+                                         case, command):
+        bad = _mutate(contrast_file, tmp_path, NON_FINITE[case])
+        argv = [command, "--instance", bad]
+        if command != "validate":
+            argv += ["--epsilon", "0.25"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "not finite" in captured.err
+
+    def test_gen_non_finite_budget_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "sep.json"
+        code = main(["gen", "--family", "separation", "--B", "nan",
+                     "--out", str(out)])
+        assert code == 2
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-welfare", "--epsilon", "0"],
+        ["solve-maximin", "--epsilon", "-0.1"],
+        ["solve-exante", "--epsilon", "nan"],
+        ["solve-welfare", "--epsilon", "inf"],
+        ["bounds", "--epsilon", "0"],
+        ["oracle", "--grid", "0"],
+        ["oracle", "--grid", "nan"],
+        ["solve-exante", "--epsilon", "0.1", "--rounds", "0"],
+        ["solve-exante", "--epsilon", "0.1", "--rounds", "-3"],
+    ], ids=lambda a: "_".join(a).replace("--", ""))
+    def test_out_of_range_option_exits_2(self, capsys, contrast_file, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--instance", contrast_file, *argv[1:]])
+        assert exc.value.code == 2
+        assert "expected" in capsys.readouterr().err

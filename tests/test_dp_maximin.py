@@ -82,6 +82,23 @@ class TestReportAndCaps:
         assert report.consistent("maximin")
         assert report.budget_used <= inst.budget + 1e-9
 
+    def test_step_paths_counted(self):
+        # Two populations with unit costs never reach the LP; weighted costs
+        # always do.  Zero-budget steps return the initial matrix unsolved.
+        inst = po.random_instance(35, 2, 3, 1.0, 0.5)
+        report, _ = po.solve_expost_maximin(inst, 0.25)
+        calls = report.solver_meta["step_calls"]
+        assert calls["lp"] == 0 and calls["dual"] > 0 and calls["initial"] > 0
+        weights = tuple(np.full_like(m, 1.5) for m in inst.initial_matrices)
+        weighted = po.make_instance(
+            inst.layer_sizes, inst.initial_matrices, inst.rewards,
+            inst.initial_distribution, inst.budget, inst.malleable,
+            cost_model=po.CostModel("weighted_l1", weights),
+        )
+        w_report, _ = po.solve_expost_maximin(weighted, 0.25)
+        assert w_report.solver_meta["step_calls"]["dual"] == 0
+        assert w_report.solver_meta["step_calls"]["lp"] > 0
+
     def test_cells_cap(self):
         inst = po.random_instance(36, 3, 3, 1.0, 1.0)
         with pytest.raises(CapacityError):

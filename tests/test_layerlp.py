@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 import pipeopt as po
@@ -203,6 +204,120 @@ class TestMaximinStep:
             for b in np.linspace(0, 2, 9)
         ]
         assert all(b >= a - 1e-7 for a, b in zip(values, values[1:]))
+
+
+def _counts(draw, shape):
+    """Non-negative weights: integers 0..4, which make ties likely, or floats."""
+    size = int(np.prod(shape))
+    cell = st.integers(0, 4) if draw(st.booleans()) else st.floats(0, 1)
+    cells = draw(st.lists(cell, min_size=size, max_size=size))
+    return np.array(cells, dtype=float).reshape(shape)
+
+
+def _stochastic(counts):
+    """Normalize columns to sum 1; an all-zero column puts its mass on row 0."""
+    counts = counts.copy()
+    counts[0, counts.sum(axis=0) == 0] = 1.0
+    return counts / counts.sum(axis=0)
+
+
+@st.composite
+def two_population_steps(draw):
+    """(r_out, a_in, m0, mask, budget) for a unit-cost two-population step."""
+    rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    m0 = _stochastic(_counts(draw, (rows, cols)))
+    r_out = _counts(draw, (rows,))
+    if draw(st.booleans()):
+        mask = np.ones((rows, cols), dtype=bool)
+    else:
+        mask = np.array(draw(st.lists(st.booleans(), min_size=rows * cols,
+                                      max_size=rows * cols))).reshape(rows, cols)
+    kind = draw(st.sampled_from(["mixed", "eye", "identical"]))
+    if kind == "eye":
+        i = draw(st.integers(0, cols - 1))
+        j = draw(st.integers(0, cols - 1).filter(lambda x: x != i))
+        a_in = np.eye(cols)[[i, j]]
+    else:
+        a_in = _stochastic(_counts(draw, (cols, 2))).T
+        if kind == "identical":
+            a_in = a_in[[0, 0]]
+    budget = draw(st.floats(0.01, 2.5))
+    return r_out, a_in, m0, mask, budget
+
+
+class TestTwoPopulationDualStep:
+    """The LP-free two-population step against the epigraph LP it replaces."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(two_population_steps())
+    def test_matches_lp_and_is_feasible(self, step):
+        r_out, a_in, m0, mask, budget = step
+        res = solve_maximin_step(r_out, a_in, m0, mask, budget, polish=False)
+        ref = solve_maximin_step(r_out, a_in, m0, mask, budget, polish=True)
+        assert res.path in ("dual", "initial")
+        assert ref.path in ("lp", "initial")
+        assert res.objective == pytest.approx(ref.objective, abs=1e-7)
+        m = res.matrix
+        np.testing.assert_allclose(m.sum(axis=0), 1.0, atol=1e-12)
+        assert np.all(m >= 0.0) and np.all(m <= 1.0)
+        assert float(np.abs(m - m0).sum()) <= budget + 1e-12
+        np.testing.assert_array_equal(m[~mask], m0[~mask])
+        # The memo's rvec is re-derived from the matrix, so the reported
+        # objective must be the matrix's exact worst-population value.
+        assert res.objective == float(((r_out @ m) @ a_in.T).min())
+        # Swapping the populations leaves the value alone: the claim behind
+        # MaximinDP._canonical_rank.
+        swapped = solve_maximin_step(r_out, a_in[::-1], m0, mask, budget,
+                                     polish=False)
+        assert swapped.objective == pytest.approx(res.objective, abs=1e-12)
+
+    def test_even_split_needs_mixing(self):
+        # Two populations on their own nodes: each greedy piece spends the
+        # whole budget on one column, so only the mix of the two attains 1/4.
+        r_out = np.array([1.0, 0.0])
+        m0 = np.array([[0.0, 0.0], [1.0, 1.0]])
+        mask = np.ones_like(m0, dtype=bool)
+        res = solve_maximin_step(r_out, np.eye(2), m0, mask, 1.0, polish=False)
+        assert res.path == "dual"
+        assert res.objective == pytest.approx(0.25, abs=1e-15)
+        np.testing.assert_allclose(res.matrix[0], [0.25, 0.25], atol=1e-15)
+
+    @pytest.mark.parametrize("budget", [0.2, 0.5, 1.0])
+    def test_equal_rates_in_two_columns(self, budget):
+        # Identical columns give every segment a twin of equal rate in the
+        # other column; the twins' crossings differ only by rounding and must
+        # count as one breakpoint, or a midpoint lands on the tie.
+        r_out = np.array([1.0, 0.3, 0.0])
+        m0 = np.array([[0.2, 0.2], [0.3, 0.3], [0.5, 0.5]])
+        mask = np.ones_like(m0, dtype=bool)
+        a_in = np.array([[0.9, 0.1], [0.3, 0.7]])
+        res = solve_maximin_step(r_out, a_in, m0, mask, budget, polish=False)
+        ref = solve_maximin_step(r_out, a_in, m0, mask, budget)
+        assert res.objective == pytest.approx(ref.objective, abs=1e-9)
+
+    @pytest.mark.parametrize("budget", [0.3, 0.6])
+    def test_frozen_entries_kept_bitwise(self, budget):
+        # The equalizing mix of two matrices that agree on an entry can still
+        # move it in the last bit; frozen entries must come back unchanged.
+        r_out = np.array([0.83, 0.895, 0.272])
+        m0 = np.array([[0.366, 0.216, 0.251],
+                       [0.293, 0.379, 0.466],
+                       [0.341, 0.405, 0.283]])
+        mask = np.array([[True, False, True],
+                         [True, True, False],
+                         [False, True, False]])
+        a_in = np.eye(3)[:2]
+        res = solve_maximin_step(r_out, a_in, m0, mask, budget, polish=False)
+        assert res.path == "dual"
+        np.testing.assert_array_equal(res.matrix[~mask], m0[~mask])
+        ref = solve_maximin_step(r_out, a_in, m0, mask, budget)
+        assert res.objective == pytest.approx(ref.objective, abs=1e-9)
+
+    def test_weighted_costs_keep_the_lp(self):
+        r_out, _, m0, mask, weights = random_step(3, 2, weighted=True)
+        res = solve_maximin_step(r_out, np.eye(2), m0, mask, 0.5, weights,
+                                 polish=False)
+        assert res.path == "lp"
 
 
 class TestCostModel:
