@@ -37,5 +37,6 @@ print("  budget used:       ", round(report.budget_used, 6), "of", instance.budg
 # this is the inner engine of the randomized solver.
 dp = po.WelfareDP(instance, 0.1)
 for d in ([1.0, 0.0], [0.5, 0.5], [0.0, 1.0]):
-    value, _ = po.best_response(instance, np.array(d), 0.1, dp=dp)
+    _, response = dp.solve_for(d)
+    value = po.evaluate_population_rewards(instance, response) @ np.array(d)
     print(f"  best response to start {d}: {value:.6f}")

@@ -15,7 +15,6 @@ from .model import (
     InterventionPlan,
     MixedPlan,
     SolveReport,
-    cost,
     evaluate_mixed,
     evaluate_population_rewards,
     make_instance,
@@ -31,17 +30,14 @@ from .netgrid import (
     SimplexNet,
     build_budget_grid,
     build_simplex_net,
-    enumerate_population_net,
-    nearest_net_point,
 )
 from .layerlp import (
     LayerStepResult,
     WelfareStepSolver,
-    cost_model_evaluate,
     solve_maximin_step,
     solve_welfare_step,
 )
-from .dp_welfare import WelfareDP, best_response, solve_social_welfare
+from .dp_welfare import WelfareDP, solve_social_welfare
 from .dp_maximin import MaximinDP, solve_expost_maximin
 from .exante import DynamicsTrace, default_rounds, mw_update, solve_exante_maximin
 from .oracle import (

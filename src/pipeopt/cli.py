@@ -183,14 +183,28 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1 (round counts)."""
+def _int_at_least(low: int):
+    """argparse type: an integer >= low (round counts, generator sizes)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+def _fraction(text: str) -> float:
+    """argparse type: a number in [0, 1]."""
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+        value = math.nan
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
     return value
 
 
@@ -220,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-exante", help="approximate randomized maximin")
     add_common(p)
-    p.add_argument("--rounds", type=_positive_int, default=None,
+    p.add_argument("--rounds", type=_int_at_least(1), default=None,
                    help="dynamics horizon (default from epsilon)")
 
     p = sub.add_parser("oracle", help="brute-force grid baselines")
@@ -241,8 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["fairness-price", "separation", "cover-reduction",
                             "random"])
     p.add_argument("--out", help="write instance JSON here (default: stdout)")
-    p.add_argument("--w", type=int, default=3, help="width (fairness-price, random)")
-    p.add_argument("--k", type=int, default=3, help="depth (random)")
+    p.add_argument("--w", type=_int_at_least(1), default=3,
+                   help="width (fairness-price, random)")
+    p.add_argument("--k", type=_int_at_least(2), default=3, help="depth (random)")
     p.add_argument("--pop-eps", type=float, default=0.1,
                    help="tail population mass (fairness-price)")
     p.add_argument("--B", "--budget", dest="B", type=float, default=1.0,
@@ -253,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h-eps", dest="h_eps", type=float, default=0.25,
                    help="chain step probability (cover-reduction)")
     p.add_argument("--seed", type=int, default=0, help="seed (random)")
-    p.add_argument("--malleable-fraction", type=float, default=1.0,
+    p.add_argument("--malleable-fraction", type=_fraction, default=1.0,
                    help="fraction of malleable edges (random)")
     return parser
 

@@ -1,11 +1,12 @@
 """Backward dynamic program for the deterministic (ex-post) maximin objective.
 
-Identical sweep structure to the welfare DP, but a cell tracks one guessed
-distribution per starting population (a tuple of simplex-net points), and the
-connecting transition is priced by the maximin step that maximizes the worst
-population's value (`solve_maximin_step`: LP-free for two populations with
-unit costs, an epigraph LP otherwise).  At the first layer the population
-tuple is exact: each population sits on its own starting node.
+`MaximinDP` runs the shared engine `dp_welfare.BackwardDP` with one tracked
+population per first-layer node: a cell guesses one distribution per
+population (a tuple of simplex-net points), and the connecting transition is
+priced by the maximin step that maximizes the worst population's value
+(`solve_maximin_step`: LP-free for two populations with unit costs, an
+epigraph LP otherwise).  At the first layer the population tuple is exact:
+each population sits on its own starting node.
 
 The population tuple space is the net raised to the number of populations,
 so this DP is exponential in the first-layer size by design; the cell cap
@@ -14,108 +15,28 @@ refuses instances outside the feasible envelope.
 
 from __future__ import annotations
 
-import math
 import time
 from collections import Counter
 
 import numpy as np
 
-from .errors import CapacityError
 from .layerlp import solve_maximin_step
-from .model import (
-    Instance,
-    InterventionPlan,
-    SolveReport,
-    evaluate_population_rewards,
-)
-from .netgrid import build_budget_grid, build_simplex_net, simplex_grid_size
-from .dp_welfare import solve_social_welfare
-
-DEFAULT_CELLS_CAP = 10_000_000
-_GROUP_DECIMALS = 12
+from .model import Instance, SolveReport, evaluate_population_rewards
+# Not used here; the traced benchmark wraps these names on this module.
+from .netgrid import build_budget_grid, build_simplex_net  # noqa: F401
+from .dp_welfare import BackwardDP, DEFAULT_CELLS_CAP, solve_social_welfare
 
 
-def maximin_dp_cell_count(instance: Instance, epsilon: float) -> int:
-    grid_points = int(math.floor(instance.budget / epsilon + 1e-9)) + 1
-    pops = instance.layer_sizes[0]
-    cells = 0
-    for t in range(1, instance.depth - 1):
-        d = instance.layer_sizes[t]
-        units = 1 if d == 1 else int(math.ceil(2 * (d - 1) / epsilon - 1e-9))
-        cells += simplex_grid_size(d, units) ** pops * grid_points
-    return max(cells, grid_points)
+class MaximinDP(BackwardDP):
+    """Memoized maximin solver: one tracked population per first-layer node."""
 
+    kind = "maximin"
 
-class MaximinDP:
     def __init__(self, instance: Instance, epsilon: float,
-                 cells_cap: int = DEFAULT_CELLS_CAP,
-                 net_cap: int = DEFAULT_CELLS_CAP):
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
-        self.instance = instance
-        self.epsilon = float(epsilon)
+                 cells_cap: int = DEFAULT_CELLS_CAP):
         self.pops = instance.layer_sizes[0]
-        self.grid = build_budget_grid(instance.budget, epsilon)
-        predicted = maximin_dp_cell_count(instance, epsilon)
-        if predicted > cells_cap:
-            raise CapacityError(
-                f"maximin DP would hold {predicted} cells (cap {cells_cap})"
-            )
-        self._nets_by_dim = {}
-        self.nets = {}
-        for t in range(1, instance.depth - 1):
-            d = instance.layer_sizes[t]
-            if d not in self._nets_by_dim:
-                self._nets_by_dim[d] = build_simplex_net(d, epsilon, cap=net_cap)
-            self.nets[t] = self._nets_by_dim[d]
-        self.cells_built = 0
         self.step_calls = Counter()  # LayerStepResult.path -> calls
-        self._rvec = {}
-        self._choice = {}
-        self._groups = {}
-        self._build()
-
-    # -- population tuples ---------------------------------------------------
-
-    def _tuple_digits(self, t: int, rank: int) -> list:
-        n = len(self.nets[t])
-        idx = []
-        for _ in range(self.pops):
-            idx.append(rank % n)
-            rank //= n
-        idx.reverse()  # most-significant component is population 0
-        return idx
-
-    def _canonical_rank(self, t: int, rank: int) -> int:
-        """Rank of the sorted version of the tuple.
-
-        Permuting the populations permutes the step's worst-population terms
-        without changing the feasible set or objective, so permuted tuples
-        share one optimal value and may share one optimal matrix; solving
-        only sorted tuples keeps results deterministic and halves (or better)
-        the step count.
-        """
-        digits = sorted(self._tuple_digits(t, rank))
-        n = len(self.nets[t])
-        out = 0
-        for d in digits:
-            out = out * n + d
-        return out
-
-    def _tuple_points(self, t: int, rank: int) -> np.ndarray:
-        """Decode a tuple rank into the (pops, s_t) stacked distributions."""
-        net = self.nets[t]
-        return net.points[np.array(self._tuple_digits(t, rank))]
-
-    def _a_in(self, t: int, rank: int) -> np.ndarray:
-        if t == 0:
-            return np.eye(self.instance.layer_sizes[0])
-        return self._tuple_points(t, rank)
-
-    def _n_tuples(self, t: int) -> int:
-        return len(self.nets[t]) ** self.pops if t > 0 else 1
-
-    # -- sweep -----------------------------------------------------------------
+        super().__init__(instance, epsilon, cells_cap)
 
     def _step(self, t: int, r_out, a_in, budget: float):
         # The polish pass only reshuffles ties among optimal matrices; one
@@ -132,94 +53,22 @@ class MaximinDP:
         self.step_calls[res.path] += 1
         return res
 
-    def _scan(self, t: int, a_in, bi: int):
-        inst = self.instance
-        if t == inst.depth - 2:
-            res = self._step(t, inst.rewards, a_in, self.grid.value(bi))
-            return res.objective, 0, -1, res.matrix
-        best = (-math.inf, -1, -1, None)
-        for b_next in range(bi + 1):
-            step_budget = self.grid.value(bi) - self.grid.value(b_next)
-            for rep_cell, r_out in self._groups[t + 1][b_next]:
-                res = self._step(t, r_out, a_in, step_budget)
-                if res.objective > best[0]:
-                    best = (res.objective, b_next, rep_cell, res.matrix)
-        return best
+    def _price(self, t, key, r_out, a_in, budget):
+        # The scan keeps the winner's matrix, so no cell is solved twice.
+        res = self._step(t, r_out, a_in, budget)
+        return res.objective, res.matrix
 
-    def _group_layer(self, t: int):
-        g = len(self.grid)
-        rvec = self._rvec[t]
-        per_budget = []
-        for bi in range(g):
-            seen, reps = {}, []
-            for ni in range(self._n_tuples(t)):
-                cell = ni * g + bi
-                key = rvec[cell].round(_GROUP_DECIMALS).tobytes()
-                if key not in seen:
-                    seen[key] = cell
-                    reps.append((cell, rvec[cell]))
-            per_budget.append(reps)
-        self._groups[t] = per_budget
-
-    def _build(self):
-        inst = self.instance
-        g = len(self.grid)
-        for t in range(inst.depth - 2, 0, -1):
-            n_tuples = self._n_tuples(t)
-            rvec = np.empty((n_tuples * g, inst.layer_sizes[t]))
-            choice = np.empty((n_tuples * g, 2), dtype=np.int64)
-            for ni in range(n_tuples):
-                canon = self._canonical_rank(t, ni)
-                if canon != ni:
-                    src = canon * g
-                    dst = ni * g
-                    rvec[dst:dst + g] = rvec[src:src + g]
-                    choice[dst:dst + g] = choice[src:src + g]
-                    continue
-                a_in = self._a_in(t, ni)
-                for bi in range(g):
-                    cell = ni * g + bi
-                    _, b_next, next_cell, matrix = self._scan(t, a_in, bi)
-                    r_out = (inst.rewards if t == inst.depth - 2
-                             else self._rvec[t + 1][next_cell])
-                    rvec[cell] = r_out @ matrix
-                    choice[cell] = (b_next, next_cell)
-            self._rvec[t] = rvec
-            self._choice[t] = choice
-            self.cells_built += n_tuples * g
-            self._group_layer(t)
+    def _solve(self, t, key, r_out, a_in, budget):
+        return self._step(t, r_out, a_in, budget).matrix
 
     def solve(self) -> tuple:
         """(memo objective, plan) starting from the exact per-node tuple."""
-        inst = self.instance
-        top = len(self.grid) - 1
-        value, b_next, next_cell, matrix = self._scan(0, self._a_in(0, 0), top)
-        mats = [matrix]
-        split = [self.grid.value(top) - self.grid.value(b_next)]
-        t, bi = 0, top
-        while t < inst.depth - 2:
-            cell = next_cell
-            rank = cell // len(self.grid)
-            t, bi = t + 1, b_next
-            b_next, next_cell = self._choice[t][cell]
-            a_in = self._a_in(t, rank)
-            r_out = (inst.rewards if t == inst.depth - 2
-                     else self._rvec[t + 1][next_cell])
-            res = self._step(t, r_out, a_in,
-                             self.grid.value(bi) - self.grid.value(b_next))
-            mats.append(res.matrix)
-            split.append(self.grid.value(bi) - self.grid.value(b_next))
-        plan = InterventionPlan(matrices=tuple(mats), budget_split=tuple(split))
-        return float(value), plan
+        return self._query(np.eye(self.pops))
 
     def meta(self) -> dict:
         return {
-            "epsilon": self.epsilon,
-            "budget_grid_points": len(self.grid),
-            "budget_grid_top": self.grid.top,
-            "net_sizes": {t: len(n) for t, n in self.nets.items()},
+            **super().meta(),
             "population_tuples": {t: self._n_tuples(t) for t in self.nets},
-            "cells": self.cells_built,
             "step_calls": {"dual": 0, "lp": 0, **self.step_calls},
         }
 

@@ -1,21 +1,25 @@
-"""Backward dynamic program for approximate social-welfare maximization.
+"""Backward dynamic program shared by the welfare and maximin solvers.
 
-Cells are (layer, remaining-budget grid point, layer-distribution net point).
-Each cell stores the best achievable continuation value vector (the reward
-vector pulled back through the optimal downstream matrices) plus a back
-pointer.  Scanning a cell enumerates every (next budget, next distribution)
-guess, prices the connecting transition with the exact single-layer welfare
-step, and keeps the argmax; ties break toward the lowest budget index, then
-the lowest net index, so results are reproducible.
+`BackwardDP` is the engine.  A memo cell is (layer, remaining-budget grid
+point, guessed distribution per tracked population), the guesses being
+points of a simplex net.  Scanning a cell enumerates every (next budget,
+next cell) guess, prices the connecting transition with a single-layer step,
+and keeps the argmax; ties break toward the lowest budget index, then the
+lowest cell index, so results are reproducible.  Only the step differs
+between objectives: a subclass supplies the number of populations and two
+hooks, `_price` (the step value, plus its matrix when pricing produces one)
+and `_solve` (the step matrix).
 
 Guessed continuation cells frequently share an identical value vector, in
 which case the connecting step has an identical optimum; such guesses are
 grouped and priced once.  The grouping changes nothing about which cell wins
 (the group representative is the member the tie-break would select).
 
-Everything below layer 1 is independent of the starting distribution, so one
-built WelfareDP serves many starting distributions; the best-response loop
-of the randomized solver leans on this.
+Welfare is the one-population case: a cell tracks one layer distribution and
+the step is the exact welfare step.  Everything below layer 1 is independent
+of the starting distribution, so one built WelfareDP serves many starting
+distributions; the best-response loop of the randomized solver leans on
+this.
 """
 
 from __future__ import annotations
@@ -39,48 +43,206 @@ DEFAULT_CELLS_CAP = 10_000_000
 _GROUP_DECIMALS = 12
 
 
-def welfare_dp_cell_count(instance: Instance, epsilon: float) -> int:
-    """Predicted memo size without building anything."""
+def dp_cell_count(instance: Instance, epsilon: float, pops: int) -> int:
+    """Predicted memo size of a DP tracking `pops` populations, without building."""
     grid_points = int(math.floor(instance.budget / epsilon + 1e-9)) + 1
     cells = 0
     for t in range(1, instance.depth - 1):
         d = instance.layer_sizes[t]
         units = 1 if d == 1 else int(math.ceil(2 * (d - 1) / epsilon - 1e-9))
-        cells += simplex_grid_size(d, units) * grid_points
+        cells += simplex_grid_size(d, units) ** pops * grid_points
     return max(cells, grid_points)
 
 
-class WelfareDP:
-    """Memoized solver; build once per (instance, epsilon), query many starts."""
+class BackwardDP:
+    """The backward sweep over (layer, budget, population tuple) cells.
+
+    Subclasses set `pops` and `kind` before calling this constructor and
+    implement `_price(t, key, r_out, a_in, budget) -> (value, matrix or
+    None)` and `_solve(t, key, r_out, a_in, budget) -> matrix`.  `key`
+    identifies the continuation ("terminal" or the representative cell) so
+    step solvers may be cached on it; `a_in` is the (pops, s_t) stack of
+    input distributions.
+    """
+
+    pops: int
+    kind: str
 
     def __init__(self, instance: Instance, epsilon: float,
-                 cells_cap: int = DEFAULT_CELLS_CAP,
-                 net_cap: int = DEFAULT_CELLS_CAP):
+                 cells_cap: int = DEFAULT_CELLS_CAP):
         if epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         self.instance = instance
         self.epsilon = float(epsilon)
         self.grid = build_budget_grid(instance.budget, epsilon)
-        predicted = welfare_dp_cell_count(instance, epsilon)
+        predicted = dp_cell_count(instance, epsilon, self.pops)
         if predicted > cells_cap:
             raise CapacityError(
-                f"welfare DP would hold {predicted} cells (cap {cells_cap})"
+                f"{self.kind} DP would hold {predicted} cells (cap {cells_cap})"
             )
-        self._nets_by_dim = {}
+        nets_by_dim = {}
         self.nets = {}
         for t in range(1, instance.depth - 1):
             d = instance.layer_sizes[t]
-            if d not in self._nets_by_dim:
-                self._nets_by_dim[d] = build_simplex_net(d, epsilon, cap=net_cap)
-            self.nets[t] = self._nets_by_dim[d]
+            if d not in nets_by_dim:
+                nets_by_dim[d] = build_simplex_net(d, epsilon)
+            self.nets[t] = nets_by_dim[d]
         self.cells_built = 0
         self._rvec = {}     # layer -> (cells, s_t) continuation value vectors
         self._choice = {}   # layer -> (cells, 2) [next budget idx, next flat cell]
         self._groups = {}   # layer -> per budget idx: [(rep_cell, value vector)]
-        self._solver_cache = {}
         self._build()
 
-    # -- internals ---------------------------------------------------------
+    # -- population tuples ---------------------------------------------------
+
+    def _n_tuples(self, t: int) -> int:
+        return len(self.nets[t]) ** self.pops
+
+    def _digits(self, t: int, rank: int) -> list:
+        """Net index per population; population 0 is the most significant."""
+        n = len(self.nets[t])
+        idx = []
+        for _ in range(self.pops):
+            idx.append(rank % n)
+            rank //= n
+        idx.reverse()
+        return idx
+
+    def _canonical_rank(self, t: int, rank: int) -> int:
+        """Rank of the sorted version of the tuple.
+
+        Permuting the populations permutes the step's worst-population terms
+        without changing the feasible set or objective, so permuted tuples
+        share one optimal value and may share one optimal matrix; solving
+        only sorted tuples keeps results deterministic and halves (or better)
+        the step count.
+        """
+        n = len(self.nets[t])
+        out = 0
+        for d in sorted(self._digits(t, rank)):
+            out = out * n + d
+        return out
+
+    def _a_in(self, t: int, rank: int) -> np.ndarray:
+        """Decode a tuple rank into the (pops, s_t) stacked distributions."""
+        return self.nets[t].points[np.array(self._digits(t, rank))]
+
+    # -- sweep -----------------------------------------------------------------
+
+    def _continuation(self, t: int, cell: int):
+        """(step key, value vector) of the continuation after layer t."""
+        if t == self.instance.depth - 2:
+            return "terminal", self.instance.rewards
+        return cell, self._rvec[t + 1][cell]
+
+    def _scan(self, t: int, a_in, bi: int):
+        """Best (value, next budget idx, next cell, matrix or None) for a cell."""
+        if t == self.instance.depth - 2:
+            # Continuation is the identity with no budget reserved downstream,
+            # so the whole remaining budget prices this transition.
+            value, matrix = self._price(t, "terminal", self.instance.rewards,
+                                        a_in, self.grid.value(bi))
+            return value, 0, -1, matrix
+        best = (-math.inf, -1, -1, None)
+        for b_next in range(bi + 1):
+            step_budget = self.grid.value(bi) - self.grid.value(b_next)
+            for rep_cell, r_out in self._groups[t + 1][b_next]:
+                value, matrix = self._price(t, rep_cell, r_out, a_in, step_budget)
+                if value > best[0]:
+                    best = (value, b_next, rep_cell, matrix)
+        return best
+
+    def _group_layer(self, t: int):
+        """Group layer-t cells with identical value vectors, per budget index."""
+        g = len(self.grid)
+        rvec = self._rvec[t]
+        keys = rvec.round(_GROUP_DECIMALS)
+        per_budget = []
+        for bi in range(g):
+            seen, reps = set(), []
+            for rank in range(self._n_tuples(t)):
+                cell = rank * g + bi
+                key = keys[cell].tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    reps.append((cell, rvec[cell]))
+            per_budget.append(reps)
+        self._groups[t] = per_budget
+
+    def _build(self):
+        inst = self.instance
+        g = len(self.grid)
+        for t in range(inst.depth - 2, 0, -1):
+            n_tuples = self._n_tuples(t)
+            rvec = np.empty((n_tuples * g, inst.layer_sizes[t]))
+            choice = np.empty((n_tuples * g, 2), dtype=np.int64)
+            for rank in range(n_tuples):
+                canon = self._canonical_rank(t, rank)
+                if canon != rank:
+                    src, dst = canon * g, rank * g
+                    rvec[dst:dst + g] = rvec[src:src + g]
+                    choice[dst:dst + g] = choice[src:src + g]
+                    continue
+                a_in = self._a_in(t, rank)
+                for bi in range(g):
+                    cell = rank * g + bi
+                    _, b_next, next_cell, matrix = self._scan(t, a_in, bi)
+                    key, r_out = self._continuation(t, next_cell)
+                    if matrix is None:
+                        matrix = self._solve(
+                            t, key, r_out, a_in,
+                            self.grid.value(bi) - self.grid.value(b_next))
+                    rvec[cell] = r_out @ matrix
+                    choice[cell] = (b_next, next_cell)
+            self._rvec[t] = rvec
+            self._choice[t] = choice
+            self.cells_built += n_tuples * g
+            self._group_layer(t)
+
+    def _query(self, a_in) -> tuple:
+        """(memo chain value, reconstructed plan) from first-layer inputs."""
+        inst = self.instance
+        g = len(self.grid)
+        t, bi = 0, g - 1
+        value, b_next, next_cell, matrix = self._scan(t, a_in, bi)
+        mats, split = [], []
+        while True:
+            step_budget = self.grid.value(bi) - self.grid.value(b_next)
+            if matrix is None:
+                key, r_out = self._continuation(t, next_cell)
+                matrix = self._solve(t, key, r_out, a_in, step_budget)
+            mats.append(matrix)
+            split.append(step_budget)
+            if t == inst.depth - 2:
+                break
+            cell = next_cell
+            t, bi = t + 1, b_next
+            a_in = self._a_in(t, cell // g)
+            b_next, next_cell = self._choice[t][cell]
+            matrix = None
+        plan = InterventionPlan(matrices=tuple(mats), budget_split=tuple(split))
+        return float(value), plan
+
+    def meta(self) -> dict:
+        return {
+            "epsilon": self.epsilon,
+            "budget_grid_points": len(self.grid),
+            "budget_grid_top": self.grid.top,
+            "net_sizes": {t: len(n) for t, n in self.nets.items()},
+            "cells": self.cells_built,
+        }
+
+
+class WelfareDP(BackwardDP):
+    """Memoized welfare solver; build once per (instance, epsilon), query many starts."""
+
+    pops = 1
+    kind = "welfare"
+
+    def __init__(self, instance: Instance, epsilon: float,
+                 cells_cap: int = DEFAULT_CELLS_CAP):
+        self._solver_cache = {}
+        super().__init__(instance, epsilon, cells_cap)
 
     def _solver_for(self, t: int, key, r_out) -> WelfareStepSolver:
         k = (t, key)
@@ -95,74 +257,13 @@ class WelfareDP:
             self._solver_cache[k] = s
         return s
 
-    def _group_layer(self, t: int):
-        """Group layer-t cells with identical value vectors, per budget index."""
-        net, g = self.nets[t], len(self.grid)
-        rvec = self._rvec[t]
-        per_budget = []
-        for bi in range(g):
-            seen, reps = {}, []
-            for ni in range(len(net)):
-                cell = ni * g + bi
-                key = rvec[cell].round(_GROUP_DECIMALS).tobytes()
-                if key not in seen:
-                    seen[key] = cell
-                    reps.append((cell, rvec[cell]))
-            per_budget.append(reps)
-        self._groups[t] = per_budget
+    def _price(self, t, key, r_out, a_in, budget):
+        # Value only: the scan never needs the losing matrices, and the
+        # winner's is solved once by `_solve`.
+        return self._solver_for(t, key, r_out).value(a_in[0], budget), None
 
-    def _scan(self, t: int, d_in, bi: int):
-        """Best (value, next budget idx, next cell) for one cell at layer t."""
-        inst = self.instance
-        if t == inst.depth - 2:
-            # Continuation is the identity with no budget reserved downstream,
-            # so the whole remaining budget prices this transition.
-            solver = self._solver_for(t, "terminal", inst.rewards)
-            return solver.value(d_in, self.grid.value(bi)), 0, -1
-        best, best_b, best_cell = -math.inf, -1, -1
-        for b_next in range(bi + 1):
-            step_budget = self.grid.value(bi) - self.grid.value(b_next)
-            for rep_cell, r_out in self._groups[t + 1][b_next]:
-                solver = self._solver_for(t, rep_cell, r_out)
-                val = solver.value(d_in, step_budget)
-                if val > best:
-                    best, best_b, best_cell = val, b_next, rep_cell
-        return best, best_b, best_cell
-
-    def _step_matrix(self, t: int, d_in, bi: int, b_next: int, next_cell: int):
-        inst = self.instance
-        if t == inst.depth - 2:
-            solver = self._solver_for(t, "terminal", inst.rewards)
-        else:
-            r_out = self._rvec[t + 1][next_cell]
-            solver = self._solver_for(t, next_cell, r_out)
-        return solver.solve(d_in, self.grid.value(bi) - self.grid.value(b_next)).matrix
-
-    def _build(self):
-        inst = self.instance
-        g = len(self.grid)
-        for t in range(inst.depth - 2, 0, -1):
-            net = self.nets[t]
-            n_cells = len(net) * g
-            rvec = np.empty((n_cells, inst.layer_sizes[t]))
-            choice = np.empty((n_cells, 2), dtype=np.int64)
-            for ni in range(len(net)):
-                d_in = net.points[ni]
-                for bi in range(g):
-                    cell = ni * g + bi
-                    _, b_next, next_cell = self._scan(t, d_in, bi)
-                    step = self._step_matrix(t, d_in, bi, b_next, next_cell)
-                    if t == inst.depth - 2:
-                        rvec[cell] = inst.rewards @ step
-                    else:
-                        rvec[cell] = self._rvec[t + 1][next_cell] @ step
-                    choice[cell] = (b_next, next_cell)
-            self._rvec[t] = rvec
-            self._choice[t] = choice
-            self.cells_built += n_cells
-            self._group_layer(t)
-
-    # -- queries -----------------------------------------------------------
+    def _solve(self, t, key, r_out, a_in, budget):
+        return self._solver_for(t, key, r_out).solve(a_in[0], budget).matrix
 
     def solve_for(self, d1) -> tuple:
         """(memo chain value, reconstructed plan) for a starting distribution.
@@ -171,33 +272,7 @@ class WelfareDP:
         allowed here even though instances require strictly positive starts,
         because best-response queries feed arbitrary adversary distributions.
         """
-        d1 = np.asarray(d1, dtype=float)
-        inst = self.instance
-        top = len(self.grid) - 1
-        value, b_next, next_cell = self._scan(0, d1, top)
-        mats, split = [], []
-        t, d_in, bi = 0, d1, top
-        while True:
-            step = self._step_matrix(t, d_in, bi, b_next, next_cell)
-            mats.append(step)
-            split.append(self.grid.value(bi) - self.grid.value(b_next))
-            if t == inst.depth - 2:
-                break
-            net = self.nets[t + 1]
-            d_in = net.points[next_cell // len(self.grid)]
-            t, bi = t + 1, b_next
-            b_next, next_cell = self._choice[t][next_cell]
-        plan = InterventionPlan(matrices=tuple(mats), budget_split=tuple(split))
-        return float(value), plan
-
-    def meta(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "budget_grid_points": len(self.grid),
-            "budget_grid_top": self.grid.top,
-            "net_sizes": {t: len(n) for t, n in self.nets.items()},
-            "cells": self.cells_built,
-        }
+        return self._query(np.asarray(d1, dtype=float)[None, :])
 
 
 def solve_social_welfare(instance: Instance, epsilon: float,
@@ -219,20 +294,3 @@ def solve_social_welfare(instance: Instance, epsilon: float,
         solver_meta={**dp.meta(), "wall_ms": (time.perf_counter() - t0) * 1e3},
     )
     return report, plan
-
-
-def best_response(instance: Instance, d1_override, epsilon: float,
-                  dp: WelfareDP | None = None) -> tuple:
-    """Welfare maximization against an arbitrary starting distribution.
-
-    Returns (exact welfare under d1_override, plan).  Passing a prebuilt
-    WelfareDP skips the memo construction; the memo is independent of the
-    starting distribution.
-    """
-    if dp is None:
-        dp = WelfareDP(instance, epsilon)
-    _, plan = dp.solve_for(d1_override)
-    value = float(
-        evaluate_population_rewards(instance, plan) @ np.asarray(d1_override, float)
-    )
-    return value, plan

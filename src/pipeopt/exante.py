@@ -25,7 +25,7 @@ from .model import (
     evaluate_mixed,
     evaluate_population_rewards,
 )
-from .dp_welfare import WelfareDP, welfare_dp_cell_count
+from .dp_welfare import WelfareDP, dp_cell_count
 
 DEFAULT_BR_CELLS_CAP = 50_000
 _CACHE_DECIMALS = 12
@@ -95,12 +95,12 @@ def _effective_br_epsilon(instance: Instance, requested: float, cells_cap: int) 
     budget so the full budget stays on the grid.
     """
     eps = requested
-    while welfare_dp_cell_count(instance, eps) > cells_cap and eps < 2.0:
+    while dp_cell_count(instance, eps, 1) > cells_cap and eps < 2.0:
         eps *= 2.0
     if eps != requested and instance.budget > 0:
         m = max(1, int(math.floor(instance.budget / eps + 1e-9)))
         snapped = instance.budget / m
-        if welfare_dp_cell_count(instance, snapped) <= cells_cap:
+        if dp_cell_count(instance, snapped, 1) <= cells_cap:
             eps = snapped
     return eps
 

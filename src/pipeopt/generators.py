@@ -276,6 +276,12 @@ def random_instance(seed: int, width: int, depth: int, malleable_fraction: float
                     budget: float) -> Instance:
     """Reproducible random instance: positive column-stochastic transitions,
     strictly positive starting distribution, rewards scaled to max 1."""
+    if width < 1:
+        raise ValueError(f"width must be >= 1, got {width}")
+    if depth < 2:
+        raise ValueError(f"depth must be >= 2, got {depth}")
+    if not (0.0 <= malleable_fraction <= 1.0):  # also refuses NaN
+        raise ValueError(f"malleable_fraction must lie in [0, 1], got {malleable_fraction}")
     rng = np.random.default_rng(seed)
     sizes = (width,) * depth
     mats, masks = [], []

@@ -7,11 +7,11 @@ maximizes the worst population's value.  Feasibility is a per-entry box, a
 column-stochasticity equality, frozen non-malleable entries, and a budget on
 the (possibly weighted) total mass moved.
 
-The welfare step is solved by an exact greedy rather than a generic LP
-solver: any feasible matrix decomposes into donor->recipient mass moves
-inside columns, each unit of budget spent on a move has a fixed gain rate,
-and donor capacities are independent, so filling the best rates first is
-optimal (a fractional knapsack).
+With unit costs the welfare step is solved by an exact greedy rather than
+a generic LP solver: any feasible matrix decomposes into donor->recipient
+mass moves inside columns, each unit of budget spent on a move has a fixed
+gain rate, and donor capacities are independent, so filling the best rates
+first is optimal (a fractional knapsack).
 
 The maximin step couples populations.  With two populations and unit costs
 it needs no LP: by the minimax theorem its value is the smallest welfare-step
@@ -20,7 +20,8 @@ breakpoint of the greedy order, and the optimal matrix mixes the greedy
 matrices on either side of that breakpoint (`_two_population_step`).  With
 three or more populations, weighted costs, or the `polish` re-solve, it goes
 through an epigraph LP (HiGHS via scipy), which also serves as the reference
-that tests check the LP-free step against.
+that tests check the LP-free step against.  There is one LP assembler,
+`_epigraph_lp`: the weighted welfare step is its one-population case.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-
-from .model import CostModel
 
 # LPs are solved to a looser tolerance than the model's 1e-9; matrices are
 # repaired columnwise before leaving this module.
@@ -48,15 +47,6 @@ class LayerStepResult:
     path: str
 
 
-def cost_model_evaluate(cost_model: CostModel, m, m0, layer: int = 0) -> float:
-    """Cost of transforming m0 into m under the given model (layer selects weights)."""
-    m = np.asarray(m, dtype=float)
-    m0 = np.asarray(m0, dtype=float)
-    if m.shape != m0.shape:
-        raise ValueError(f"shape mismatch {m.shape} vs {m0.shape}")
-    return cost_model.layer_cost(layer, m, m0)
-
-
 class WelfareStepSolver:
     """Reusable exact solver for max r_out^T M d_in over feasible M.
 
@@ -69,7 +59,7 @@ class WelfareStepSolver:
     each donor routes everything to the best malleable target.  Per-edge
     weights break that alignment (a donor may prefer a cheap mediocre target
     when budget binds but a pricey good one when supply binds), so the
-    weighted variant goes through an LP.
+    weighted variant goes through the one-population epigraph LP.
     """
 
     def __init__(self, r_out, m0, mask, weights=None):
@@ -145,81 +135,20 @@ class WelfareStepSolver:
         if budget < 0:
             raise ValueError(f"budget must be non-negative, got {budget}")
         if self.weights is not None:
-            return self._solve_weighted_lp(d_in, budget)
+            return _epigraph_lp(self.r_out, d_in[None, :], self.m0, self.mask,
+                                budget, self.weights, polish=False)
         m = self.m0.copy()
         for u, seg, take in self._walk(d_in, budget):
             rate, cap, donor, recipient = seg
             factor = cap / self.m0[donor, u]  # cost per unit of mass moved
             mass = take / factor
             m[donor, u] -= mass
-            m[recipient, u] += mass
+            # Input columns may sum to 1 plus an ulp; moving a whole column
+            # into one entry must not leave that entry above 1.
+            m[recipient, u] = min(m[recipient, u] + mass, 1.0)
         obj = float(self.r_out @ m @ d_in)
         return LayerStepResult(matrix=m, objective=obj, lp_status="OPTIMAL",
                                path="greedy")
-
-    def _solve_weighted_lp(self, d_in, budget) -> LayerStepResult:
-        res = _weighted_welfare_lp(
-            self.r_out, d_in, self.m0, self.mask, budget, self.weights
-        )
-        return res
-
-
-def _weighted_welfare_lp(r_out, d_in, m0, mask, budget, weights) -> LayerStepResult:
-    """Welfare step under per-edge costs, as an LP over the malleable entries."""
-    col_free = [np.flatnonzero(mask[:, u]) for u in range(m0.shape[1])]
-    entries = [(int(v), u) for u in range(m0.shape[1]) if len(col_free[u]) >= 2
-               for v in col_free[u]]
-    n = len(entries)
-    if n == 0 or budget <= 0:
-        return LayerStepResult(matrix=m0.copy(),
-                               objective=float(r_out @ m0 @ d_in),
-                               lp_status="OPTIMAL", path="initial")
-    c = np.zeros(2 * n)
-    w_e = np.empty(n)
-    m0_e = np.empty(n)
-    for e, (v, u) in enumerate(entries):
-        c[e] = -r_out[v] * d_in[u]
-        w_e[e] = weights[v, u]
-        m0_e[e] = m0[v, u]
-    rows, rhs = [], []
-    for e in range(n):
-        row = np.zeros(2 * n)
-        row[e], row[n + e] = 1.0, -1.0
-        rows.append(row)
-        rhs.append(m0_e[e])
-        row = np.zeros(2 * n)
-        row[e], row[n + e] = -1.0, -1.0
-        rows.append(row)
-        rhs.append(-m0_e[e])
-    cost_row = np.zeros(2 * n)
-    cost_row[n:] = w_e
-    rows.append(cost_row)
-    rhs.append(budget)
-    eq_rows, eq_rhs = [], []
-    for u in range(m0.shape[1]):
-        if len(col_free[u]) < 2:
-            continue
-        row = np.zeros(2 * n)
-        for e, (v, uu) in enumerate(entries):
-            if uu == u:
-                row[e] = 1.0
-        eq_rows.append(row)
-        eq_rhs.append(1.0 - m0[~mask[:, u], u].sum())
-    res = linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs),
-                  A_eq=np.array(eq_rows), b_eq=np.array(eq_rhs),
-                  bounds=[(0.0, 1.0)] * n + [(0.0, 2.0)] * n, method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"weighted welfare step LP failed: {res.message}")
-    frozen = m0.copy()
-    for v, u in entries:
-        frozen[v, u] = 0.0
-    frozen_value = float(r_out @ frozen @ d_in)
-    m = m0.copy()
-    for e, (v, u) in enumerate(entries):
-        m[v, u] = res.x[e]
-    m = _repair_columns(m, m0, mask, weights, budget)
-    return LayerStepResult(matrix=m, objective=float(-res.fun) + frozen_value,
-                           lp_status="OPTIMAL", path="lp")
 
 
 def solve_welfare_step(r_out, d_in, m0, mask, budget_step, cost_weights=None) -> LayerStepResult:
@@ -326,7 +255,7 @@ def solve_maximin_step(r_out, a_in, m0, mask, budget_step, cost_weights=None,
 
     a_in is a (populations, source-layer-size) array of per-population input
     distributions.  Two populations with unit costs and no `polish` take the
-    LP-free `_two_population_step`; everything else is an epigraph LP.  With
+    LP-free `_two_population_step`; everything else is the epigraph LP.  With
     `polish` a second solve, at the optimal objective, maximizes the summed
     population values among optima; this removes gratuitous reward damage
     that an arbitrary optimal vertex might carry and keeps results
@@ -338,24 +267,35 @@ def solve_maximin_step(r_out, a_in, m0, mask, budget_step, cost_weights=None,
     mask = np.asarray(mask, dtype=bool)
     if budget_step < 0:
         raise ValueError(f"budget must be non-negative, got {budget_step}")
-    pops = a_in.shape[0]
-    if pops == 1:
+    if a_in.shape[0] == 1:
         # min over one population is the welfare step.
-        res = solve_welfare_step(r_out, a_in[0], m0, mask, budget_step, cost_weights)
-        return res
-
+        return solve_welfare_step(r_out, a_in[0], m0, mask, budget_step, cost_weights)
+    # Without budget, or without a column of >= 2 malleable entries, nothing
+    # can move; the epigraph LP returns m0 for those steps unsolved.
+    if (a_in.shape[0] == 2 and cost_weights is None and not polish
+            and budget_step > 0 and mask.sum(axis=0).max() >= 2):
+        return _two_population_step(r_out, a_in, m0, mask, budget_step)
     weights = None if cost_weights is None else np.asarray(cost_weights, dtype=float)
-    # Entries that can actually vary: malleable, in a column with >= 2 malleable.
+    return _epigraph_lp(r_out, a_in, m0, mask, budget_step, weights, polish)
+
+
+def _epigraph_lp(r_out, a_in, m0, mask, budget, weights, polish) -> LayerStepResult:
+    """max v s.t. v <= r_out^T M a_in[j] for every population j, as an LP.
+
+    Variables are the entries that can actually vary (malleable, in a column
+    with >= 2 malleable entries), their absolute changes, and v.  With one
+    population this is the welfare step, which is how weighted costs solve
+    it.  Steps with nothing to vary, or no budget, return m0 unsolved.
+    """
+    pops = a_in.shape[0]
     col_free = [np.flatnonzero(mask[:, u]) for u in range(m0.shape[1])]
     entries = [(int(v), u) for u in range(m0.shape[1]) if len(col_free[u]) >= 2
                for v in col_free[u]]
     n = len(entries)
-    base_rewards = (r_out @ m0) @ a_in.T  # value per population if M = m0
-    if n == 0 or budget_step == 0:
+    if n == 0 or budget == 0:
+        base_rewards = (r_out @ m0) @ a_in.T  # value per population if M = m0
         return LayerStepResult(matrix=m0.copy(), objective=float(base_rewards.min()),
                                lp_status="OPTIMAL", path="initial")
-    if pops == 2 and weights is None and not polish:
-        return _two_population_step(r_out, a_in, m0, mask, budget_step)
 
     ncols = m0.shape[1]
     # coef[j, e] = r_out[v] * a_in[j, u] for entry e = (v, u)
@@ -389,7 +329,7 @@ def solve_maximin_step(r_out, a_in, m0, mask, budget_step, cost_weights=None,
     cost_row = np.zeros(nvar)
     cost_row[n:2 * n] = w_e
     rows.append(cost_row)
-    rhs.append(budget_step)
+    rhs.append(budget)
     for j in range(pops):
         row = np.zeros(nvar)
         row[:n] = -coef[j]
@@ -416,7 +356,7 @@ def solve_maximin_step(r_out, a_in, m0, mask, budget_step, cost_weights=None,
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
                   method="highs")
     if res.status != 0:
-        raise RuntimeError(f"maximin step LP failed: {res.message}")
+        raise RuntimeError(f"step LP failed: {res.message}")
     v_star = float(res.x[iv])
     x = res.x[:n]
 
@@ -440,6 +380,6 @@ def solve_maximin_step(r_out, a_in, m0, mask, budget_step, cost_weights=None,
     m = m0.copy()
     for e, (v, u) in enumerate(entries):
         m[v, u] = x[e]
-    m = _repair_columns(m, m0, mask, weights, budget_step)
+    m = _repair_columns(m, m0, mask, weights, budget)
     return LayerStepResult(matrix=m, objective=v_star, lp_status="OPTIMAL",
                            path="lp")

@@ -223,15 +223,6 @@ def _first_nonfinite(a: np.ndarray) -> str:
     return f"{idx if len(idx) > 1 else idx[0]} = {a[idx]}"
 
 
-def cost(m, m0) -> float:
-    """Plain L1 intervention cost: total absolute probability mass moved."""
-    m = _as_matrix(m)
-    m0 = _as_matrix(m0)
-    if m.shape != m0.shape:
-        raise ValueError(f"shape mismatch {m.shape} vs {m0.shape}")
-    return float(np.abs(m - m0).sum())
-
-
 @dataclass(frozen=True)
 class InterventionPlan:
     """A full set of replacement matrices plus the per-layer budget split."""
@@ -387,10 +378,3 @@ class SolveReport:
     budget_used: float
     solver_meta: dict = field(default_factory=dict)
 
-    def consistent(self, objective: str = "welfare", d1: Optional[np.ndarray] = None) -> bool:
-        """Objective must be recomputable from the per-population vector."""
-        if objective == "welfare":
-            if d1 is None:
-                return False
-            return abs(self.objective_value - float(self.per_population_rewards @ d1)) <= ATOL
-        return abs(self.objective_value - float(self.per_population_rewards.min())) <= ATOL

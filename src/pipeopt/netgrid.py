@@ -3,14 +3,13 @@
 The solvers search over budget splits restricted to multiples of a step, and
 over layer distributions restricted to a finite grid of the probability
 simplex.  The grid is constructive: points are the distributions whose
-coordinates are multiples of an inner spacing delta, which makes membership
-testing, indexing and deterministic enumeration trivial, at the price of a
-somewhat larger net than the best packing-based constructions.
+coordinates are multiples of an inner spacing delta, which makes
+deterministic enumeration trivial, at the price of a somewhat larger net
+than the best packing-based constructions.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -78,7 +77,6 @@ class SimplexNet:
     radius: float
     units: int  # delta = 1 / units
     points: np.ndarray = field(repr=False)  # (n_points, dim)
-    _index: dict = field(repr=False, default_factory=dict)
 
     @property
     def delta(self) -> float:
@@ -86,9 +84,6 @@ class SimplexNet:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def index_of_units(self, coords: tuple) -> int:
-        return self._index[coords]
 
 
 def build_simplex_net(dim: int, radius: float, cap: int = DEFAULT_NET_CAP) -> SimplexNet:
@@ -103,7 +98,7 @@ def build_simplex_net(dim: int, radius: float, cap: int = DEFAULT_NET_CAP) -> Si
         raise ValueError(f"radius must lie in (0, 2], got {radius}")
     if dim == 1:
         pts = np.array([[1.0]])
-        return SimplexNet(dim=1, radius=radius, units=1, points=pts, _index={(1,): 0})
+        return SimplexNet(dim=1, radius=radius, units=1, points=pts)
     units = int(math.ceil(2 * (dim - 1) / radius - _SNAP))
     size = simplex_grid_size(dim, units)
     if size > cap:
@@ -122,42 +117,5 @@ def build_simplex_net(dim: int, radius: float, cap: int = DEFAULT_NET_CAP) -> Si
 
     rec((), units, dim)
     pts = np.array(coords, dtype=float) / units
-    index = {c: i for i, c in enumerate(coords)}
-    return SimplexNet(dim=dim, radius=radius, units=units, points=pts, _index=index)
+    return SimplexNet(dim=dim, radius=radius, units=units, points=pts)
 
-
-def nearest_net_point(net: SimplexNet, dist) -> tuple:
-    """(index, l1 distance) of a net point within the cover radius of `dist`.
-
-    Uses the deterministic rounding rule (floor the first dim-1 coordinates),
-    which certifies distance <= radius but is not necessarily the closest
-    point of the net.
-    """
-    d = np.asarray(dist, dtype=float)
-    if d.shape != (net.dim,):
-        raise ValueError(f"distribution has shape {d.shape}, net dimension {net.dim}")
-    if net.dim == 1:
-        return 0, float(abs(d[0] - 1.0))
-    scaled = d * net.units
-    lead = np.floor(scaled[:-1] + _SNAP).astype(int)
-    lead = np.maximum(lead, 0)
-    rest = net.units - int(lead.sum())
-    coords = tuple(lead) + (rest,)
-    idx = net.index_of_units(coords)
-    return idx, float(np.abs(net.points[idx] - d).sum())
-
-
-def enumerate_population_net(net: SimplexNet, populations: int, cap: int = DEFAULT_NET_CAP):
-    """Iterator over all tuples of per-population net indices, lexicographic."""
-    if populations < 1:
-        raise ValueError(f"populations must be >= 1, got {populations}")
-    total = len(net) ** populations
-    if total > cap:
-        raise CapacityError(
-            f"population net would hold {total} tuples (cap {cap})"
-        )
-    return itertools.product(range(len(net)), repeat=populations)
-
-
-def population_net_size(net: SimplexNet, populations: int) -> int:
-    return len(net) ** populations

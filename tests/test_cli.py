@@ -280,3 +280,17 @@ class TestInputRefusal:
             main([argv[0], "--instance", contrast_file, *argv[1:]])
         assert exc.value.code == 2
         assert "expected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--w", "0"],
+        ["--k", "1"],
+        ["--malleable-fraction", "1.5"],
+        ["--malleable-fraction", "nan"],
+    ], ids=lambda a: "_".join(a).replace("--", ""))
+    def test_gen_out_of_range_size_exits_2(self, capsys, tmp_path, argv):
+        out = tmp_path / "rand.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--family", "random", *argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "expected" in capsys.readouterr().err
+        assert not out.exists()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pipeopt as po
 from pipeopt.errors import CapacityError
@@ -79,7 +80,9 @@ class TestReportAndCaps:
     def test_report_consistency(self):
         inst = po.random_instance(35, 2, 3, 1.0, 0.5)
         report, plan = po.solve_expost_maximin(inst, 0.2)
-        assert report.consistent("maximin")
+        np.testing.assert_array_equal(report.per_population_rewards,
+                                      po.evaluate_population_rewards(inst, plan))
+        assert report.objective_value == po.maximin_value(inst, plan)
         assert report.budget_used <= inst.budget + 1e-9
 
     def test_step_paths_counted(self):
@@ -99,7 +102,58 @@ class TestReportAndCaps:
         assert w_report.solver_meta["step_calls"]["dual"] == 0
         assert w_report.solver_meta["step_calls"]["lp"] > 0
 
+    def test_population_tuple_counts(self):
+        # Every layer tracks net size ** populations tuples, permuted ones
+        # included.
+        for width, eps in [(2, 0.5), (3, 1.0)]:
+            inst = po.random_instance(37, width, 3, 1.0, 0.5)
+            dp = po.MaximinDP(inst, eps)
+            assert dp.meta()["population_tuples"] == {1: len(dp.nets[1]) ** width}
+
     def test_cells_cap(self):
         inst = po.random_instance(36, 3, 3, 1.0, 1.0)
         with pytest.raises(CapacityError):
             po.solve_expost_maximin(inst, 0.05, cells_cap=500)
+
+
+
+class TestEngine:
+    """Welfare is the one-population case of the shared backward DP."""
+
+    def test_one_population_maximin_is_welfare(self):
+        # Built directly, bypassing solve_expost_maximin's delegation.
+        rng_local = np.random.default_rng(0)
+        sizes = (1, 2, 3, 2)
+        mats = []
+        for t in range(len(sizes) - 1):
+            raw = rng_local.uniform(0.05, 1.0, size=(sizes[t + 1], sizes[t]))
+            mats.append(raw / raw.sum(axis=0))
+        inst = po.make_instance(sizes, mats, rng_local.uniform(0, 1, 2), (1.0,), 0.8)
+        m_value, m_plan = po.MaximinDP(inst, 0.2).solve()
+        w_value, w_plan = po.WelfareDP(inst, 0.2).solve_for([1.0])
+        assert m_value == w_value
+        assert m_plan.budget_split == w_plan.budget_split
+        for a, b in zip(m_plan.matrices, w_plan.matrices):
+            np.testing.assert_array_equal(a, b)
+
+    @settings(derandomize=True, max_examples=20, deadline=None, database=None)
+    @given(seed=st.integers(0, 10**6),
+           malleable=st.sampled_from([0.5, 1.0]),
+           budget=st.floats(0.0, 1.0))
+    def test_dps_track_oracle(self, seed, malleable, budget):
+        eps, eta = 0.1, 0.05
+        inst = po.random_instance(seed, 2, 3, malleable, budget)
+        slack = 3 * (inst.depth - 1) * eps * inst.reward_sup
+        w_memo, w_plan = po.WelfareDP(inst, eps).solve_for(inst.initial_distribution)
+        m_memo, m_plan = po.MaximinDP(inst, eps).solve()
+        assert po.plan_violations(inst, w_plan) == []
+        assert po.plan_violations(inst, m_plan) == []
+        # The memo chains continuation values through the very matrices the
+        # plan is rebuilt from, so it must agree with the exact value.
+        w_value, m_value = po.welfare(inst, w_plan), po.maximin_value(inst, m_plan)
+        assert w_memo == pytest.approx(w_value, abs=1e-12)
+        assert m_memo == pytest.approx(m_value, abs=1e-12)
+        w_oracle, _ = po.oracle_welfare(inst, eta)
+        m_oracle, _ = po.oracle_expost_maximin(inst, eta)
+        assert w_value >= w_oracle - slack - 1e-12
+        assert m_value >= m_oracle - slack - 1e-12

@@ -159,3 +159,14 @@ class TestRandomFamily:
             inst = po.random_instance(seed, 2, 3, 1.0, 1.0)
             blob = json.dumps(instance_to_dict(inst), sort_keys=True)
             assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("args,name", [
+        ((0, 3, 1.0), "width"),
+        ((2, 1, 1.0), "depth"),
+        ((2, 3, -0.1), "malleable_fraction"),
+        ((2, 3, 1.5), "malleable_fraction"),
+        ((2, 3, float("nan")), "malleable_fraction"),
+    ])
+    def test_bad_sizes_refused(self, args, name):
+        with pytest.raises(ValueError, match=name):
+            po.random_instance(0, *args, 1.0)

@@ -138,6 +138,16 @@ class TestWelfareStep:
             np.testing.assert_array_equal(m[~mask], m0[~mask])
             assert float((np.abs(m - m0) * weights).sum()) <= budget + 1e-7
 
+    def test_whole_column_moved_stays_at_most_one(self):
+        # This column sums to 1 plus an ulp; gathering all of it into the
+        # rewarded entry must still give an entry of at most 1.
+        m0 = np.array([[0.458927283687728], [0.2829261192379251],
+                       [0.0], [0.258146597074347]])
+        assert m0.sum() > 1.0
+        res = solve_welfare_step(np.array([1.0, 0.0, 0.0, 0.0]), np.ones(1),
+                                 m0, np.ones_like(m0, dtype=bool), 2.0)
+        np.testing.assert_array_equal(res.matrix[:, 0], [1.0, 0.0, 0.0, 0.0])
+
 
 class TestMaximinStep:
     def test_single_population_equals_welfare(self):
@@ -324,20 +334,21 @@ class TestCostModel:
     def test_self_cost_zero(self):
         m = rng.random((3, 3))
         cm = po.CostModel("l1")
-        assert po.cost_model_evaluate(cm, m, m) == 0.0
+        assert cm.layer_cost(0, m, m) == 0.0
 
     def test_weighted_scaling(self):
         m0 = np.array([[0.0], [1.0]])
         m = np.array([[0.5], [0.5]])
         cm = po.CostModel("weighted_l1", (np.full((2, 1), 2.0),))
-        assert po.cost_model_evaluate(cm, m, m0) == pytest.approx(2.0)
+        assert cm.layer_cost(0, m, m0) == pytest.approx(2.0)
 
     def test_weighted_dominates_scaled_l1(self):
         weights = rng.uniform(0.5, 3.0, size=(3, 3))
         cm = po.CostModel("weighted_l1", (weights,))
         for _ in range(20):
             a, b = rng.random((3, 3)), rng.random((3, 3))
-            assert po.cost_model_evaluate(cm, a, b) >= weights.min() * po.cost(a, b) - 1e-12
+            l1 = po.CostModel("l1").layer_cost(0, a, b)
+            assert cm.layer_cost(0, a, b) >= weights.min() * l1 - 1e-12
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):

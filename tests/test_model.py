@@ -6,6 +6,7 @@ import pytest
 import pipeopt as po
 
 TOL = 1e-9
+L1 = po.CostModel("l1")
 rng = np.random.default_rng(20240817)
 
 
@@ -62,14 +63,16 @@ class TestValidate:
 
 
 class TestCost:
+    """Unit (l1) costs: total absolute probability mass moved."""
+
     def test_zero_for_identical(self):
         m = rng.random((3, 3))
-        assert po.cost(m, m) == 0.0
+        assert L1.layer_cost(0, m, m) == 0.0
 
     def test_full_budget_column(self):
         m0 = np.array([[0.0], [1.0]])
         m = np.array([[0.5], [0.5]])
-        assert po.cost(m, m0) == pytest.approx(1.0, abs=TOL)
+        assert L1.layer_cost(0, m, m0) == pytest.approx(1.0, abs=TOL)
 
     def test_matches_double_loop(self):
         for _ in range(20):
@@ -77,12 +80,13 @@ class TestCost:
             direct = sum(
                 abs(a[i, j] - b[i, j]) for i in range(3) for j in range(3)
             )
-            assert po.cost(a, b) == pytest.approx(direct, abs=1e-12)
-            assert po.cost(a, b) == pytest.approx(po.cost(b, a), abs=1e-12)
+            assert L1.layer_cost(0, a, b) == pytest.approx(direct, abs=1e-12)
+            assert L1.layer_cost(0, a, b) == pytest.approx(
+                L1.layer_cost(0, b, a), abs=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            po.cost(np.eye(2), np.eye(3))
+            L1.layer_cost(0, np.eye(2), np.eye(3))
 
 
 class TestEvaluation:

@@ -7,7 +7,7 @@ import pytest
 
 import pipeopt as po
 from pipeopt.errors import CapacityError
-from pipeopt.netgrid import population_net_size, simplex_grid_size
+from pipeopt.netgrid import simplex_grid_size
 
 rng = np.random.default_rng(11)
 
@@ -73,50 +73,37 @@ class TestSimplexNet:
 
     @pytest.mark.parametrize("dim,radius", [(2, 0.5), (3, 0.5), (3, 0.3), (4, 0.7)])
     def test_cover_radius(self, dim, radius):
+        # The DP's guarantee rests on every distribution having a net point
+        # within the radius.
         net = po.build_simplex_net(dim, radius)
-        for _ in range(2000):
-            d = rng.dirichlet(np.ones(dim))
-            _, dist = po.nearest_net_point(net, d)
-            assert dist <= radius + 1e-12
-
-
-class TestNearest:
-    def test_net_point_maps_to_itself(self):
-        net = po.build_simplex_net(3, 0.4)
-        idx, dist = po.nearest_net_point(net, net.points[7])
-        assert idx == 7
-        assert dist <= 1e-12
-
-    def test_floor_rounding_rule(self):
-        net = po.build_simplex_net(2, 0.5)
-        idx, dist = po.nearest_net_point(net, np.array([0.6, 0.4]))
-        np.testing.assert_allclose(net.points[idx], [0.5, 0.5])
-        assert dist == pytest.approx(0.2, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        net = po.build_simplex_net(2, 0.5)
-        with pytest.raises(ValueError):
-            po.nearest_net_point(net, np.array([1.0, 0.0, 0.0]))
+        samples = rng.dirichlet(np.ones(dim), size=2000)
+        dist = np.abs(samples[:, None, :] - net.points[None, :, :]).sum(axis=2)
+        assert dist.min(axis=1).max() <= radius + 1e-12
 
 
 class TestPopulationNet:
+    # The DPs enumerate population tuples as ranks over net ** populations,
+    # decoded most-significant population first.
+    @staticmethod
+    def _tuples(dp, t=1):
+        return [tuple(dp._digits(t, r)) for r in range(dp._n_tuples(t))]
+
     def test_counts(self):
-        net = po.build_simplex_net(2, 1.0)  # 3 points
-        assert len(net) == 3
-        assert len(list(po.enumerate_population_net(net, 1))) == 3
-        tuples = list(po.enumerate_population_net(net, 2))
+        inst = po.random_instance(37, 2, 3, 1.0, 0.5)
+        welfare = po.WelfareDP(inst, 1.0)
+        assert len(welfare.nets[1]) == 3  # build_simplex_net(2, 1.0)
+        assert self._tuples(welfare) == [(0,), (1,), (2,)]
+        maximin = po.MaximinDP(inst, 1.0)
+        tuples = self._tuples(maximin)
         assert len(tuples) == 9
         assert tuples == sorted(tuples)  # lexicographic
         assert len(set(tuples)) == 9
 
     def test_no_duplicates_5_choose_2(self):
-        net = po.build_simplex_net(2, 0.5)  # 5 points
-        tuples = list(po.enumerate_population_net(net, 2))
+        inst = po.random_instance(37, 2, 3, 1.0, 0.5)
+        dp = po.MaximinDP(inst, 0.5)
+        assert len(dp.nets[1]) == 5  # build_simplex_net(2, 0.5)
+        tuples = self._tuples(dp)
         assert len(tuples) == 25
         assert len(set(tuples)) == 25
-        assert population_net_size(net, 2) == 25
-
-    def test_cap(self):
-        net = po.build_simplex_net(2, 0.1)
-        with pytest.raises(CapacityError):
-            list(po.enumerate_population_net(net, 6, cap=1000))
+        assert dp.meta()["population_tuples"] == {1: 25}
