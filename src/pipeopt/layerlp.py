@@ -11,7 +11,12 @@ With unit costs the welfare step is solved by an exact greedy rather than
 a generic LP solver: any feasible matrix decomposes into donor->recipient
 mass moves inside columns, each unit of budget spent on a move has a fixed
 gain rate, and donor capacities are independent, so filling the best rates
-first is optimal (a fractional knapsack).
+first is optimal (a fractional knapsack).  The greedy is a heap walk over
+per-column segment lists; `WelfareStepSolver.value_block`/`solve_block`
+replay the same walk for many (input, budget) pairs at once with numpy,
+bitwise equal to the walk; the welfare DP's build prices with them.
+The scalar walk stays for one-off steps: DP queries, the two-population
+maximin step, and the reference the block forms are tested against.
 
 The maximin step couples populations.  With two populations and unit costs
 it needs no LP: by the minimax theorem its value is the smallest welfare-step
@@ -52,7 +57,8 @@ class WelfareStepSolver:
 
     Construction cost depends only on (r_out, m0, mask, weights); `solve`
     and `value` can then be called for many (d_in, budget) pairs, which is
-    what the dynamic programs do.
+    what the dynamic programs do, and `value_block`/`solve_block` answer a
+    whole batch of pairs in one call.
 
     Unit costs admit the greedy: every unit of budget moves half a unit of
     mass, so gain per budget and gain per mass rank moves identically and
@@ -82,6 +88,7 @@ class WelfareStepSolver:
             self._segments = [
                 self._column_segments(u) for u in range(self.m0.shape[1])
             ]
+            self._flat = None  # flattened segments, built on the first block call
 
     def _column_segments(self, u):
         """List of (rate, budget_capacity, donor, recipient) for column u."""
@@ -119,6 +126,98 @@ class WelfareStepSolver:
             if pos + 1 < len(self._segments[u]):
                 nxt = self._segments[u][pos + 1]
                 heapq.heappush(heap, (-nxt[0] * d_in[u], u, pos + 1))
+
+    def _flat_segments(self):
+        """Every segment as (rate, cap, column, donor, recipient, factor) arrays.
+
+        Segments are listed in (column, pos) order; `factor` is the budget
+        cost per unit of mass moved, computed as `solve` computes it.
+        """
+        if self._flat is None:
+            flat = [(seg[0], seg[1], u, seg[2], seg[3])
+                    for u, segs in enumerate(self._segments) for seg in segs]
+            rate = np.array([f[0] for f in flat], dtype=float)
+            cap = np.array([f[1] for f in flat], dtype=float)
+            col, donor, recipient = (np.array([f[i] for f in flat], dtype=np.int64)
+                                     for i in (2, 3, 4))
+            factor = cap / self.m0[donor, col]
+            self._flat = (rate, cap, col, donor, recipient, factor)
+        return self._flat
+
+    def _block_walk(self, D, budgets):
+        """Replay `_walk` for many inputs at once, one segment rank at a time.
+
+        Yields (effective rate, segment index, take) per rank: the first two
+        are (n,) arrays over the rows of D, which is (n, s); budgets
+        broadcasts against (n,), and every take has the broadcast shape.  Each row's segments are ranked by the heap's key
+        (-rate * d[u], u, pos): a stable sort of the negated effective rates
+        over the (column, pos) listing.  A column with d[u] == 0 never enters
+        the heap, so it gets zero capacity here.  Budget beyond the last
+        segment, or after the budget is spent, is taken as 0, which adds
+        exactly nothing; so per (input, budget) every sum and move happens in
+        the order `_walk` yields it, with the same operands.
+        """
+        rate, cap, col = self._flat_segments()[:3]
+        eff = rate * D[:, col]
+        order = np.argsort(-eff, axis=1, kind="stable")
+        eff = np.take_along_axis(eff, order, axis=1)
+        cap = np.take_along_axis(np.where(D[:, col] > 0, cap, 0.0), order, axis=1)
+        remaining = np.maximum(budgets, 0.0) + np.zeros(len(D))  # take shape
+        for rank in range(len(rate)):
+            if not remaining.any():
+                return
+            take = np.minimum(cap[:, rank], remaining)
+            yield eff[:, rank], order[:, rank], take
+            remaining -= take
+
+    def value_block(self, D, budgets) -> np.ndarray:
+        """`value` for every (budget, input) pair: a (len(budgets), len(D)) table.
+
+        Bitwise equal to calling `value` per pair.  Weighted costs loop over
+        `value`, which solves the LP.
+        """
+        D = np.atleast_2d(np.asarray(D, dtype=float))
+        budgets = np.asarray(budgets, dtype=float)
+        if self.weights is not None:
+            return np.array([[self.value(d, b) for d in D] for b in budgets])
+        # The stacked product reproduces `col_base @ d` per row bitwise;
+        # `D @ col_base` can differ in the last bit.
+        start = (D[:, None, :] @ self.col_base[:, None])[:, 0, 0]
+        values = np.repeat(start[None, :], len(budgets), axis=0)
+        for eff, _, take in self._block_walk(D, budgets[:, None]):
+            values += eff * take
+        return values
+
+    def solve_block(self, D, budgets) -> np.ndarray:
+        """`solve(D[i], budgets[i]).matrix` for every row i, stacked (n, rows, cols).
+
+        Bitwise equal to calling `solve` per row.  Moves touch only their own
+        column, and `_walk` visits a column's segments in pos order, so the
+        moves are applied in (column, pos) order, each only where its take is
+        positive, as `_walk` yields it.  Weighted costs loop over `solve`.
+        """
+        D = np.atleast_2d(np.asarray(D, dtype=float))
+        budgets = np.asarray(budgets, dtype=float)
+        if np.any(budgets < 0):
+            raise ValueError(f"budget must be non-negative, got {budgets.min()}")
+        if self.weights is not None:
+            return np.array([self.solve(d, b).matrix for d, b in zip(D, budgets)])
+        m = np.repeat(self.m0[None], len(D), axis=0)
+        _, _, col, donor, recipient, factor = self._flat_segments()
+        takes = np.zeros((len(D), len(col)))
+        rows = np.arange(len(D))
+        for _, seg, take in self._block_walk(D, budgets):
+            takes[rows, seg] = take
+        for s in range(len(col)):
+            hit = np.flatnonzero(takes[:, s] > 0)
+            if not len(hit):
+                continue
+            mass = takes[hit, s] / factor[s]
+            u, dv, rv = col[s], donor[s], recipient[s]
+            m[hit, dv, u] -= mass
+            # The same cap at 1 as `solve`.
+            m[hit, rv, u] = np.minimum(m[hit, rv, u] + mass, 1.0)
+        return m
 
     def value(self, d_in, budget) -> float:
         """Optimal objective only; no matrix is materialized (unit costs)."""

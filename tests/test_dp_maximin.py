@@ -102,6 +102,20 @@ class TestReportAndCaps:
         assert w_report.solver_meta["step_calls"]["dual"] == 0
         assert w_report.solver_meta["step_calls"]["lp"] > 0
 
+    def test_per_layer_profile_counts_every_build_step(self):
+        # The build keeps each winner's matrix, so beyond the priced pairs a
+        # solve makes only the query's steps: one scan of the first layer,
+        # then one step per deeper layer.
+        inst = po.random_instance(38, 2, 4, 1.0, 1.0)
+        dp = po.MaximinDP(inst, 0.5)
+        profile = dp.meta()["profile"]
+        assert sum(p["cells"] for p in profile.values()) == dp.meta()["cells"]
+        built = sum(dp.step_calls.values())
+        assert built == sum(p["priced_pairs"] for p in profile.values())
+        dp.solve()
+        first_scan = sum(len(reps) for reps in dp._groups[1])
+        assert sum(dp.step_calls.values()) == built + first_scan + inst.depth - 2
+
     def test_population_tuple_counts(self):
         # Every layer tracks net size ** populations tuples, permuted ones
         # included.

@@ -114,6 +114,23 @@ class TestReportAndCaps:
         assert report.solver_meta["epsilon"] == 0.1
         assert report.solver_meta["cells"] > 0
 
+    def test_per_layer_profile(self):
+        inst = po.random_instance(24, 3, 4, 1.0, 1.0)
+        dp = po.WelfareDP(inst, 0.3)
+        profile = dp.meta()["profile"]
+        assert sorted(profile) == [1, 2]
+        assert sum(p["cells"] for p in profile.values()) == dp.meta()["cells"]
+        g = len(dp.grid)
+        # The terminal layer prices each cell once; the layer above prices
+        # each cell against every group at or below its budget index.
+        assert profile[2]["priced_pairs"] == profile[2]["cells"]
+        n = dp._n_tuples(1)
+        assert profile[1]["priced_pairs"] == sum(
+            n * len(dp._groups[2][b]) * (g - b) for b in range(g))
+        for t, p in profile.items():
+            assert p["groups"] == sum(len(reps) for reps in dp._groups[t])
+            assert 0 < p["groups"] <= p["cells"]
+
     def test_cells_cap(self):
         inst = po.random_instance(22, 3, 4, 1.0, 1.0)
         with pytest.raises(CapacityError):
@@ -123,6 +140,57 @@ class TestReportAndCaps:
         inst = po.random_instance(23, 2, 2, 1.0, 1.0)
         with pytest.raises(ValueError):
             po.solve_social_welfare(inst, 0.0)
+
+
+def _weighted(inst, seed):
+    """`inst` with random per-edge cost weights in [0.5, 2]."""
+    gen = np.random.default_rng(seed)
+    weights = tuple(gen.uniform(0.5, 2.0, m.shape) for m in inst.initial_matrices)
+    return po.make_instance(
+        inst.layer_sizes, inst.initial_matrices, inst.rewards,
+        inst.initial_distribution, inst.budget, inst.malleable,
+        cost_model=po.CostModel("weighted_l1", weights),
+    )
+
+
+class TestBlockBuild:
+    """Every built cell against the scalar scan that queries still use."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: po.WelfareDP(po.random_instance(31, 3, 4, 1.0, 1.0), 0.3),
+        lambda: po.WelfareDP(po.random_instance(32, 2, 5, 0.6, 1.3), 0.25),
+        lambda: po.WelfareDP(_weighted(po.random_instance(33, 2, 3, 1.0, 0.6), 33),
+                             0.3),
+        lambda: po.MaximinDP(po.random_instance(34, 2, 4, 1.0, 1.0), 0.5),
+        lambda: po.MaximinDP(_weighted(po.random_instance(35, 2, 3, 0.7, 0.8), 35),
+                             0.5),
+        # Budgets past saturation make different candidates tie exactly;
+        # the lowest budget index must win, as in the scan.
+        lambda: po.WelfareDP(po.random_instance(36, 2, 4, 1.0, 4.0), 0.5),
+        lambda: po.MaximinDP(po.random_instance(37, 2, 4, 1.0, 3.0), 0.5),
+    ], ids=["welfare", "welfare-masked", "welfare-weighted", "maximin",
+            "maximin-weighted", "welfare-ties", "maximin-ties"])
+    def test_cells_match_scalar_scan(self, make):
+        dp = make()
+        g = len(dp.grid)
+        for t, rvec in dp._rvec.items():
+            canon_of = dp._canonical_ranks(t)
+            for cell in range(len(rvec)):
+                rank, bi = divmod(cell, g)
+                canon = canon_of[rank]
+                if canon != rank:
+                    # Permuted tuples are copies of their sorted tuple.
+                    src = canon * g + bi
+                    assert np.array_equal(rvec[cell], rvec[src])
+                    assert np.array_equal(dp._choice[t][cell], dp._choice[t][src])
+                    continue
+                a_in = dp._a_in(t, rank)
+                _, b_next, next_cell, _ = dp._scan(t, a_in, bi)
+                assert (b_next, next_cell) == tuple(dp._choice[t][cell])
+                key, r_out = dp._continuation(t, next_cell)
+                m = dp._solve(t, key, r_out, a_in,
+                              dp.grid.value(bi) - dp.grid.value(b_next))
+                assert np.array_equal(rvec[cell], r_out @ m)
 
 
 class TestWeightedCosts:

@@ -50,6 +50,10 @@ class TestDynamics:
             lhs, best_fixed, slack = trace.regret_certificate(inst.reward_sup)
             assert lhs <= best_fixed + slack + 1e-9
             assert report.solver_meta["regret_lhs"] == pytest.approx(lhs)
+            # The best-response DP reports its per-layer build counters.
+            profile = report.solver_meta["dp_profile"]
+            assert sum(p["cells"] for p in profile.values()) == \
+                report.solver_meta["dp_cells"]
 
     def test_symmetric_instance_reaches_fair_value(self):
         # Two layers make the feasible set convex, so randomization cannot
