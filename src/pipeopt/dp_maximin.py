@@ -8,9 +8,10 @@ priced by the maximin step that maximizes the worst population's value
 epigraph LP otherwise).  At the first layer the population tuple is exact:
 each population sits on its own starting node.
 
-The population tuple space is the net raised to the number of populations,
-so this DP is exponential in the first-layer size by design; the cell cap
-refuses instances outside the feasible envelope.
+The step is symmetric in the populations, so a cell tracks a multiset of
+net points: C(n+p-1, p) multisets for an n-point net and p populations.
+This is still exponential in the first-layer size by design; the cell cap
+refuses instances whose memo would not fit, not ones that run long.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class MaximinDP(BackwardDP):
     def meta(self) -> dict:
         return {
             **super().meta(),
-            "population_tuples": {t: self._n_tuples(t) for t in self.nets},
+            "population_tuples": {t: len(self._table[t]) for t in self.nets},
             "step_calls": {"dual": 0, "lp": 0, **self.step_calls},
         }
 

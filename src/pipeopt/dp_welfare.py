@@ -2,32 +2,38 @@
 
 `BackwardDP` is the engine.  A memo cell is (layer, remaining-budget grid
 point, guessed distribution per tracked population), the guesses being
-points of a simplex net.  A cell's value is the best, over every (next
-budget, next cell) guess, of the single-layer step that connects them; ties
-break toward the lowest budget index, then the lowest cell index, so results
-are reproducible.  Only the step differs between objectives: a subclass
-supplies the number of populations and the step hooks.
+points of a simplex net.  The step is symmetric in the populations, so a
+cell tracks a multiset of net points: each layer's multiset table holds the
+sorted net-index rows in lexicographic order, C(n+p-1, p) rows for an
+n-point net and p populations, and cell `row * g + budget index` pairs a row
+with one of the g budget grid points.  Only the step differs between
+objectives: a subclass supplies the number of populations and the step hooks.
 
-Guessed continuation cells frequently share an identical value vector, in
-which case the connecting step has an identical optimum; such guesses are
-grouped and priced once.  The grouping changes nothing about which cell wins
-(the group representative is the member the tie-break would select).
+Each built layer becomes one list of continuation candidates (next budget
+index, step key, next cell, value vector) for the layer above, in scan
+order: next budget ascending, then table row ascending.  Continuation cells
+that share an identical value vector have an identical connecting step, so
+each such group enters the list once, through its first cell; the terminal
+layer's list is the single candidate `rewards` with no budget reserved
+downstream.  A cell's value is the best step over the candidates at or
+below its budget index; ties break toward the earlier candidate, so results
+are reproducible.  The memo stores the winning candidate's index per cell,
+and both the build and the scalar scan walk the same list.
 
-The build sweeps each layer candidate by candidate: a candidate is one
-continuation (next budget, group representative), taken in the order a cell
-scan visits them, and it is priced against every (tuple, budget) cell it can
-serve in one `_price_block` call.  A per-cell running best that changes only
-on a strict improvement picks the same winners as the per-cell scan; the
-winners' matrices then come from `_solve_block` calls per candidate,
-unless pricing already handed them back.  The default block hooks call the
-scalar hooks `_price` (step value, plus its matrix when pricing produces
-one) and `_solve` (step matrix) per cell; the maximin DP uses them.
-WelfareDP overrides them with `WelfareStepSolver.value_block`/`solve_block`:
-a vectorized greedy that reproduces the scalar one bitwise for unit costs,
-and a loop over the LP for weighted costs, so the memo is the same as a
-per-cell scan's.  Queries (`_query`, hence every best response of the randomized
-solver) keep the scalar `_scan`: a query prices one cell, and batching the
-first-layer candidates gave the randomized solver no speedup.
+The build sweeps each layer candidate by candidate: a candidate is priced
+against every (row, budget) cell it can serve in one `_price_block` call.
+A per-cell running best that changes only on a strict improvement picks the
+same winners as the per-cell scan; the winners' matrices then come from
+`_solve_block` calls per candidate, unless pricing already handed them
+back.  The default block hooks call the scalar hooks `_price` (step value,
+plus its matrix when pricing produces one) and `_solve` (step matrix) per
+cell; the maximin DP uses them.  WelfareDP overrides them with
+`WelfareStepSolver.value_block`/`solve_block`: a vectorized greedy that
+reproduces the scalar one bitwise for unit costs, and a loop over the LP for
+weighted costs, so the memo is the same as a per-cell scan's.  Queries
+(`_query`, hence every best response of the randomized solver) keep the
+scalar `_scan`: a query prices one cell, and batching the first-layer
+candidates gave the randomized solver no speedup.
 
 Welfare is the one-population case: a cell tracks one layer distribution and
 the step is the exact welfare step.  Everything below layer 1 is independent
@@ -39,6 +45,7 @@ continuation groups and the (cell, candidate) pairs the build priced.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 
@@ -52,28 +59,36 @@ from .model import (
     SolveReport,
     evaluate_population_rewards,
 )
-from .netgrid import build_budget_grid, build_simplex_net, simplex_grid_size
+from .netgrid import (budget_grid_size, build_budget_grid, build_simplex_net,
+                      net_units, simplex_grid_size)
 
 DEFAULT_CELLS_CAP = 10_000_000
 _GROUP_DECIMALS = 12
-# Most tuples (pricing) or cells (solving) handed to one block call; bounds
+# Most rows (pricing) or cells (solving) handed to one block call; bounds
 # the working set when one candidate serves a whole layer.
 _BLOCK_ROWS = 2048
 
 
 def dp_cell_count(instance: Instance, epsilon: float, pops: int) -> int:
     """Predicted memo size of a DP tracking `pops` populations, without building."""
-    grid_points = int(math.floor(instance.budget / epsilon + 1e-9)) + 1
+    grid_points = budget_grid_size(instance.budget, epsilon)
     cells = 0
     for t in range(1, instance.depth - 1):
         d = instance.layer_sizes[t]
-        units = 1 if d == 1 else int(math.ceil(2 * (d - 1) / epsilon - 1e-9))
-        cells += simplex_grid_size(d, units) ** pops * grid_points
+        n = simplex_grid_size(d, net_units(d, epsilon))
+        cells += math.comb(n + pops - 1, pops) * grid_points
     return max(cells, grid_points)
 
 
+def _multisets(n: int, pops: int) -> np.ndarray:
+    """Every size-`pops` multiset of range(n) as a sorted row, lexicographic."""
+    rows = itertools.combinations_with_replacement(range(n), pops)
+    return np.fromiter(itertools.chain.from_iterable(rows),
+                       dtype=np.int64).reshape(-1, pops)
+
+
 class BackwardDP:
-    """The backward sweep over (layer, budget, population tuple) cells.
+    """The backward sweep over (layer, budget, population multiset) cells.
 
     Subclasses set `pops` and `kind` before calling this constructor and
     implement `_price(t, key, r_out, a_in, budget) -> (value, matrix or
@@ -101,100 +116,61 @@ class BackwardDP:
             )
         nets_by_dim = {}
         self.nets = {}
+        self._table = {}    # layer -> (rows, pops) multiset table
         for t in range(1, instance.depth - 1):
             d = instance.layer_sizes[t]
             if d not in nets_by_dim:
-                nets_by_dim[d] = build_simplex_net(d, epsilon)
-            self.nets[t] = nets_by_dim[d]
+                net = build_simplex_net(d, epsilon)
+                nets_by_dim[d] = net, _multisets(len(net), self.pops)
+            self.nets[t], self._table[t] = nets_by_dim[d]
         self.cells_built = 0
         self.profile = {}   # layer -> {cells, groups, priced_pairs} of the build
         self._rvec = {}     # layer -> (cells, s_t) continuation value vectors
-        self._choice = {}   # layer -> (cells, 2) [next budget idx, next flat cell]
-        self._groups = {}   # layer -> per budget idx: [(rep_cell, value vector)]
+        self._choice = {}   # layer -> (cells,) winning candidate index
+        # layer -> candidates its cells scan:
+        # [(next budget idx, step key, next cell, value vector)].
+        self._candidates = {
+            instance.depth - 2: [(0, "terminal", -1, instance.rewards)],
+        }
         self._build()
-
-    # -- population tuples ---------------------------------------------------
-
-    def _n_tuples(self, t: int) -> int:
-        return len(self.nets[t]) ** self.pops
-
-    def _digits(self, t: int, ranks) -> np.ndarray:
-        """Net index per population, (..., pops); population 0 is the most significant."""
-        shape = (len(self.nets[t]),) * self.pops
-        return np.stack(np.unravel_index(ranks, shape), axis=-1)
-
-    def _canonical_ranks(self, t: int) -> np.ndarray:
-        """Rank of the sorted version of every tuple, indexed by tuple rank.
-
-        Permuting the populations permutes the step's worst-population terms
-        without changing the feasible set or objective, so permuted tuples
-        share one optimal value and may share one optimal matrix; solving
-        only sorted tuples keeps results deterministic and halves (or better)
-        the step count.
-        """
-        digits = np.sort(self._digits(t, np.arange(self._n_tuples(t))), axis=1)
-        return np.ravel_multi_index(tuple(digits.T), (len(self.nets[t]),) * self.pops)
-
-    def _a_in(self, t: int, ranks) -> np.ndarray:
-        """Decode tuple ranks into (..., pops, s_t) stacked distributions."""
-        return self.nets[t].points[self._digits(t, ranks)]
 
     # -- sweep -----------------------------------------------------------------
 
-    def _continuation(self, t: int, cell: int):
-        """(step key, value vector) of the continuation after layer t."""
-        if t == self.instance.depth - 2:
-            return "terminal", self.instance.rewards
-        return cell, self._rvec[t + 1][cell]
-
     def _scan(self, t: int, a_in, bi: int):
-        """Best (value, next budget idx, next cell, matrix or None) for a cell."""
-        if t == self.instance.depth - 2:
-            # Continuation is the identity with no budget reserved downstream,
-            # so the whole remaining budget prices this transition.
-            value, matrix = self._price(t, "terminal", self.instance.rewards,
-                                        a_in, self.grid.value(bi))
-            return value, 0, -1, matrix
-        best = (-math.inf, -1, -1, None)
-        for b_next in range(bi + 1):
+        """Best (value, candidate index, matrix or None) for a cell."""
+        best = (-math.inf, -1, None)
+        for c, (b_next, key, _, r_out) in enumerate(self._candidates[t]):
+            if b_next > bi:
+                break
             step_budget = self.grid.value(bi) - self.grid.value(b_next)
-            for rep_cell, r_out in self._groups[t + 1][b_next]:
-                value, matrix = self._price(t, rep_cell, r_out, a_in, step_budget)
-                if value > best[0]:
-                    best = (value, b_next, rep_cell, matrix)
+            value, matrix = self._price(t, key, r_out, a_in, step_budget)
+            if value > best[0]:
+                best = (value, c, matrix)
         return best
 
     def _group_layer(self, t: int):
-        """Group layer-t cells with identical value vectors, per budget index."""
+        """Turn built layer t into the candidate list of layer t - 1.
+
+        Per budget index, cells whose value vectors round to the same bytes
+        form one group, represented by its first cell in table order.
+        """
         g = len(self.grid)
         rvec = self._rvec[t]
-        keys = rvec.round(_GROUP_DECIMALS)
-        per_budget = []
-        for bi in range(g):
-            seen, reps = set(), []
-            for rank in range(self._n_tuples(t)):
-                cell = rank * g + bi
-                key = keys[cell].tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    reps.append((cell, rvec[cell]))
-            per_budget.append(reps)
-        self._groups[t] = per_budget
-
-    def _candidates(self, t: int) -> list:
-        """(next budget idx, step key, next cell, value vector) in scan order."""
-        if t == self.instance.depth - 2:
-            # One candidate: the rewards, with no budget reserved downstream.
-            # pts[bi] - pts[0] == pts[bi], so it prices like `_scan` does.
-            return [(0, "terminal", -1, self.instance.rewards)]
-        return [(b_next, rep_cell, rep_cell, r_out)
-                for b_next in range(len(self.grid))
-                for rep_cell, r_out in self._groups[t + 1][b_next]]
+        keys = rvec.round(_GROUP_DECIMALS).reshape(-1, g, rvec.shape[1])
+        row_bytes = np.dtype((np.void, keys.itemsize * keys.shape[2]))
+        candidates = []
+        for b_next in range(g):
+            rows = np.ascontiguousarray(keys[:, b_next]).view(row_bytes).ravel()
+            _, first = np.unique(rows, return_index=True)
+            for row in np.sort(first).tolist():
+                cell = row * g + b_next
+                candidates.append((b_next, cell, cell, rvec[cell]))
+        self._candidates[t - 1] = candidates
 
     def _price_block(self, t, key, r_out, a_in, budgets):
-        """Step values of one continuation for every (budget, tuple) pair.
+        """Step values of one continuation for every (budget, row) pair.
 
-        a_in is the (tuples, pops, s_t) stack; returns the (budgets, tuples)
+        a_in is the (rows, pops, s_t) stack; returns the (budgets, rows)
         values and the matching matrices, or None when pricing makes none.
         This default calls `_price` per pair.
         """
@@ -217,23 +193,20 @@ class BackwardDP:
     def _build(self):
         """Fill the memo one layer at a time, one candidate at a time.
 
-        A candidate (next budget, continuation group) is priced for every
-        canonical tuple and every budget index it can serve, in block calls
-        of at most _BLOCK_ROWS tuples.  A per-cell running best replaced
-        only on a strict `>`, with candidates in scan order, picks exactly
-        the winner `_scan` picks.  The winners' matrices are then solved in
-        blocks of cells that share a winning candidate.
+        A candidate is priced for every table row and every budget index it
+        can serve, in block calls of at most _BLOCK_ROWS rows.  A per-cell
+        running best replaced only on a strict `>`, with candidates in scan
+        order, picks exactly the winner `_scan` picks.  The winners'
+        matrices are then solved in blocks of cells that share a winning
+        candidate.
         """
         inst = self.instance
         g = len(self.grid)
         pts = self.grid.points
         for t in range(inst.depth - 2, 0, -1):
-            n_tuples = self._n_tuples(t)
-            canon_of = self._canonical_ranks(t)
-            canon = np.flatnonzero(canon_of == np.arange(n_tuples))
-            n = len(canon)
-            a_in = self._a_in(t, canon)
-            candidates = self._candidates(t)
+            a_in = self.nets[t].points[self._table[t]]
+            n = len(a_in)
+            candidates = self._candidates[t]
             best = np.full((g, n), -np.inf)
             winner = np.zeros((g, n), dtype=np.int64)
             kept = None  # winners' matrices, when pricing hands them back
@@ -253,9 +226,7 @@ class BackwardDP:
                             kept = np.empty(best.shape + mats.shape[2:])
                         kept[b_next:, cols][better] = mats[better]
                     priced += values.size
-            # Filled at the canonical tuples, then copied to permuted ones.
-            rvec = np.empty((n_tuples, g, inst.layer_sizes[t]))
-            choice = np.empty((n_tuples, g, 2), dtype=np.int64)
+            rvec = np.empty((n, g, inst.layer_sizes[t]))
             # Cells grouped by winning candidate, in blocks of _BLOCK_ROWS.
             flat = winner.ravel()
             by_winner = np.argsort(flat, kind="stable")
@@ -264,24 +235,20 @@ class BackwardDP:
                 bounds = np.flatnonzero(np.diff(flat[cells])) + 1
                 for part in np.split(cells, bounds):
                     bi, j = np.divmod(part, n)
-                    b_next, key, next_cell, r_out = candidates[flat[part[0]]]
+                    b_next, key, _, r_out = candidates[flat[part[0]]]
                     if kept is not None:
                         mats = kept[bi, j]
                     else:
                         mats = self._solve_block(t, key, r_out, a_in[j],
                                                  pts[bi] - pts[b_next])
-                    rvec[canon[j], bi] = r_out @ mats
-                    choice[canon[j], bi] = (b_next, next_cell)
-            permuted = np.flatnonzero(canon_of != np.arange(n_tuples))
-            rvec[permuted] = rvec[canon_of[permuted]]
-            choice[permuted] = choice[canon_of[permuted]]
-            self._rvec[t] = rvec.reshape(n_tuples * g, -1)
-            self._choice[t] = choice.reshape(n_tuples * g, 2)
-            self.cells_built += n_tuples * g
+                    rvec[j, bi] = r_out @ mats
+            self._rvec[t] = rvec.reshape(n * g, -1)
+            self._choice[t] = winner.T.ravel()
+            self.cells_built += n * g
             self._group_layer(t)
             self.profile[t] = {
-                "cells": n_tuples * g,
-                "groups": sum(len(reps) for reps in self._groups[t]),
+                "cells": n * g,
+                "groups": len(self._candidates[t - 1]),
                 "priced_pairs": priced,
             }
 
@@ -290,22 +257,20 @@ class BackwardDP:
         inst = self.instance
         g = len(self.grid)
         t, bi = 0, g - 1
-        value, b_next, next_cell, matrix = self._scan(t, a_in, bi)
+        value, c, matrix = self._scan(t, a_in, bi)
         mats, split = [], []
         while True:
+            b_next, key, next_cell, r_out = self._candidates[t][c]
             step_budget = self.grid.value(bi) - self.grid.value(b_next)
             if matrix is None:
-                key, r_out = self._continuation(t, next_cell)
                 matrix = self._solve(t, key, r_out, a_in, step_budget)
             mats.append(matrix)
             split.append(step_budget)
             if t == inst.depth - 2:
                 break
-            cell = next_cell
             t, bi = t + 1, b_next
-            a_in = self._a_in(t, cell // g)
-            b_next, next_cell = self._choice[t][cell]
-            matrix = None
+            a_in = self.nets[t].points[self._table[t][next_cell // g]]
+            c, matrix = self._choice[t][next_cell], None
         plan = InterventionPlan(matrices=tuple(mats), budget_split=tuple(split))
         return float(value), plan
 

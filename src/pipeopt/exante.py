@@ -26,6 +26,7 @@ from .model import (
     evaluate_population_rewards,
 )
 from .dp_welfare import WelfareDP, dp_cell_count
+from .netgrid import budget_grid_size
 
 DEFAULT_BR_CELLS_CAP = 50_000
 _CACHE_DECIMALS = 12
@@ -98,7 +99,7 @@ def _effective_br_epsilon(instance: Instance, requested: float, cells_cap: int) 
     while dp_cell_count(instance, eps, 1) > cells_cap and eps < 2.0:
         eps *= 2.0
     if eps != requested and instance.budget > 0:
-        m = max(1, int(math.floor(instance.budget / eps + 1e-9)))
+        m = max(1, budget_grid_size(instance.budget, eps) - 1)
         snapped = instance.budget / m
         if dp_cell_count(instance, snapped, 1) <= cells_cap:
             eps = snapped

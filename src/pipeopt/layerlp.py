@@ -46,7 +46,6 @@ LP_TOL = 1e-7
 class LayerStepResult:
     matrix: np.ndarray
     objective: float
-    lp_status: str  # "OPTIMAL" | "INFEASIBLE"
     # How the step was priced: "initial" (nothing to move, m0 returned),
     # "greedy", "dual" (two-population minimax) or "lp".
     path: str
@@ -246,8 +245,7 @@ class WelfareStepSolver:
             # into one entry must not leave that entry above 1.
             m[recipient, u] = min(m[recipient, u] + mass, 1.0)
         obj = float(self.r_out @ m @ d_in)
-        return LayerStepResult(matrix=m, objective=obj, lp_status="OPTIMAL",
-                               path="greedy")
+        return LayerStepResult(matrix=m, objective=obj, path="greedy")
 
 
 def solve_welfare_step(r_out, d_in, m0, mask, budget_step, cost_weights=None) -> LayerStepResult:
@@ -344,8 +342,7 @@ def _two_population_step(r_out, a_in, m0, mask, budget) -> LayerStepResult:
         # bitwise; the mix would change them in the last bit.
         m = np.where(left == right, left, theta * left + (1.0 - theta) * right)
     values = (r_out @ m) @ a_in.T
-    return LayerStepResult(matrix=m, objective=float(values.min()),
-                           lp_status="OPTIMAL", path="dual")
+    return LayerStepResult(matrix=m, objective=float(values.min()), path="dual")
 
 
 def solve_maximin_step(r_out, a_in, m0, mask, budget_step, cost_weights=None,
@@ -394,7 +391,7 @@ def _epigraph_lp(r_out, a_in, m0, mask, budget, weights, polish) -> LayerStepRes
     if n == 0 or budget == 0:
         base_rewards = (r_out @ m0) @ a_in.T  # value per population if M = m0
         return LayerStepResult(matrix=m0.copy(), objective=float(base_rewards.min()),
-                               lp_status="OPTIMAL", path="initial")
+                               path="initial")
 
     ncols = m0.shape[1]
     # coef[j, e] = r_out[v] * a_in[j, u] for entry e = (v, u)
@@ -480,5 +477,4 @@ def _epigraph_lp(r_out, a_in, m0, mask, budget, weights, polish) -> LayerStepRes
     for e, (v, u) in enumerate(entries):
         m[v, u] = x[e]
     m = _repair_columns(m, m0, mask, weights, budget)
-    return LayerStepResult(matrix=m, objective=v_star, lp_status="OPTIMAL",
-                           path="lp")
+    return LayerStepResult(matrix=m, objective=v_star, path="lp")

@@ -24,10 +24,6 @@ DEFAULT_NET_CAP = 10_000_000
 _SNAP = 1e-9
 
 
-def _floor_ratio(x: float, step: float) -> int:
-    return int(math.floor(x / step + _SNAP))
-
-
 @dataclass(frozen=True)
 class BudgetGrid:
     """Multiples of `step` from 0 up to (and not beyond) `cap`."""
@@ -48,20 +44,31 @@ class BudgetGrid:
         return float(self.points[idx])
 
 
+def budget_grid_size(budget: float, eps: float) -> int:
+    """Number of points of `build_budget_grid(budget, eps)`."""
+    return int(math.floor(budget / eps + _SNAP)) + 1
+
+
 def build_budget_grid(budget: float, eps: float) -> BudgetGrid:
     """Grid {0, eps, 2*eps, ...} intersected with [0, budget]."""
     if eps <= 0:
         raise ValueError(f"grid step must be positive, got {eps}")
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    n = _floor_ratio(budget, eps)
-    points = np.arange(n + 1, dtype=float) * eps
+    points = np.arange(budget_grid_size(budget, eps), dtype=float) * eps
     return BudgetGrid(step=float(eps), cap=float(budget), points=points)
 
 
 def simplex_grid_size(dim: int, units: int) -> int:
     """Number of `dim`-part compositions of `units`."""
     return math.comb(units + dim - 1, dim - 1)
+
+
+def net_units(dim: int, radius: float) -> int:
+    """Grid resolution (1/delta) of `build_simplex_net(dim, radius)`."""
+    if dim == 1:
+        return 1
+    return int(math.ceil(2 * (dim - 1) / radius - _SNAP))
 
 
 @dataclass(frozen=True)
@@ -89,17 +96,15 @@ class SimplexNet:
 def build_simplex_net(dim: int, radius: float, cap: int = DEFAULT_NET_CAP) -> SimplexNet:
     """Constructive l1 cover of the probability simplex of dimension `dim`.
 
-    The inner spacing is delta = 1/ceil(2*max(dim-1, 1)/radius); using the
-    ceiling keeps exact-sum grid points well defined for every radius.
+    The inner spacing is delta = 1/ceil(2*(dim-1)/radius) (`net_units`; the
+    one-point net of dim 1 has delta 1); using the ceiling keeps exact-sum
+    grid points well defined for every radius.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     if not (0 < radius <= 2):
         raise ValueError(f"radius must lie in (0, 2], got {radius}")
-    if dim == 1:
-        pts = np.array([[1.0]])
-        return SimplexNet(dim=1, radius=radius, units=1, points=pts)
-    units = int(math.ceil(2 * (dim - 1) / radius - _SNAP))
+    units = net_units(dim, radius)
     size = simplex_grid_size(dim, units)
     if size > cap:
         raise CapacityError(

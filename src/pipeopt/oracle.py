@@ -25,6 +25,7 @@ from .errors import CapacityError
 from .model import Instance, InterventionPlan, MixedPlan
 
 ORACLE_CAP = 10_000_000
+# Tables of at most this many plans are materialized; read at construction.
 DENSE_ROWS = 2_000_000
 _SNAP = 1e-9
 _CHUNK = 512
@@ -113,12 +114,11 @@ class GridPlanTable:
     """Exhaustive table of feasible grid plans with per-population values.
 
     Suffix layers (everything after the first transition) are always fully
-    combined; the first transition is either folded in (dense mode, small
-    tables) or streamed through reductions (large tables).
+    combined; the first transition is either folded in (dense mode, at most
+    DENSE_ROWS plans) or streamed through reductions (larger tables).
     """
 
-    def __init__(self, instance: Instance, eta: float, cap: int = ORACLE_CAP,
-                 dense_rows: int = DENSE_ROWS):
+    def __init__(self, instance: Instance, eta: float, cap: int = ORACLE_CAP):
         if eta <= 0:
             raise ValueError(f"eta must be positive, got {eta}")
         if instance.cost_model.kind != "l1":
@@ -154,7 +154,7 @@ class GridPlanTable:
             values, units = self._combine(t, values, units, cap)
         self.suffix_values = values  # (rows, layer_sizes[1]) for k1 > 1
         self.suffix_units = units
-        self.dense = self.total_plans <= dense_rows
+        self.dense = self.total_plans <= DENSE_ROWS
         if self.dense:
             if k1 > 1:
                 values, units = self._combine(0, values, units, cap)

@@ -1,10 +1,13 @@
 """Maximin dynamic program vs the grid oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import pipeopt as po
+from pipeopt.dp_welfare import dp_cell_count
 from pipeopt.errors import CapacityError
 
 rng = np.random.default_rng(88)
@@ -113,16 +116,20 @@ class TestReportAndCaps:
         built = sum(dp.step_calls.values())
         assert built == sum(p["priced_pairs"] for p in profile.values())
         dp.solve()
-        first_scan = sum(len(reps) for reps in dp._groups[1])
+        first_scan = len(dp._candidates[0])
         assert sum(dp.step_calls.values()) == built + first_scan + inst.depth - 2
 
     def test_population_tuple_counts(self):
-        # Every layer tracks net size ** populations tuples, permuted ones
-        # included.
+        # Every layer tracks the multisets of `width` net points, and the
+        # predicted memo size is the built one.
         for width, eps in [(2, 0.5), (3, 1.0)]:
             inst = po.random_instance(37, width, 3, 1.0, 0.5)
             dp = po.MaximinDP(inst, eps)
-            assert dp.meta()["population_tuples"] == {1: len(dp.nets[1]) ** width}
+            n = len(dp.nets[1])
+            multisets = math.comb(n + width - 1, width)
+            assert dp.meta()["population_tuples"] == {1: multisets}
+            assert dp.meta()["cells"] == multisets * len(dp.grid)
+            assert dp_cell_count(inst, eps, width) == dp.meta()["cells"]
 
     def test_cells_cap(self):
         inst = po.random_instance(36, 3, 3, 1.0, 1.0)
@@ -171,3 +178,49 @@ class TestEngine:
         m_oracle, _ = po.oracle_expost_maximin(inst, eta)
         assert w_value >= w_oracle - slack - 1e-12
         assert m_value >= m_oracle - slack - 1e-12
+
+    @settings(derandomize=True, max_examples=20, deadline=None, database=None)
+    @given(seed=st.integers(0, 10**6),
+           width=st.sampled_from([2, 3]),
+           depth=st.sampled_from([3, 4]),
+           malleable=st.sampled_from([0.6, 1.0]),
+           data=st.data())
+    def test_population_permutation(self, seed, width, depth, malleable, data):
+        # Relabelling the first-layer nodes relabels the populations and
+        # nothing else: the maximin value stays, the per-population rewards
+        # come back permuted.  Three populations take the LP step, so their
+        # pipelines are two nodes wide below the first layer and coarser.
+        inst = _fan_in(seed, width, depth, malleable)
+        perm = list(data.draw(st.permutations(range(width))))
+        permuted = po.make_instance(
+            inst.layer_sizes,
+            (inst.initial_matrices[0][:, perm],) + inst.initial_matrices[1:],
+            inst.rewards, inst.initial_distribution[perm], inst.budget,
+            (inst.malleable[0][:, perm],) + inst.malleable[1:],
+        )
+        eps = 0.25 if width == 2 else 1.0
+        report, plan = po.solve_expost_maximin(inst, eps)
+        p_report, p_plan = po.solve_expost_maximin(permuted, eps)
+        assert p_report.objective_value == pytest.approx(report.objective_value,
+                                                         abs=1e-12)
+        np.testing.assert_allclose(p_report.per_population_rewards,
+                                   report.per_population_rewards[perm], atol=1e-9)
+        assert po.plan_violations(inst, plan) == []
+        assert po.plan_violations(permuted, p_plan) == []
+
+
+def _fan_in(seed, width, depth, malleable):
+    """A random first layer of `width` nodes feeding `random_instance`'s
+    pipeline, two nodes wide, with budget 1."""
+    tail = po.random_instance(seed, 2, depth - 1, malleable, 1.0)
+    gen = np.random.default_rng(seed)
+    raw = gen.uniform(0.05, 1.0, size=(2, width))
+    mask = (np.ones(raw.shape, dtype=bool) if malleable >= 1.0
+            else gen.random(raw.shape) < malleable)
+    d1 = gen.uniform(0.1, 1.0, size=width)
+    return po.make_instance(
+        (width,) + tail.layer_sizes,
+        (raw / raw.sum(axis=0),) + tail.initial_matrices,
+        tail.rewards, d1 / d1.sum(), 1.0,
+        (mask,) + tail.malleable,
+    )

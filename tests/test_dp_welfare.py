@@ -124,11 +124,12 @@ class TestReportAndCaps:
         # The terminal layer prices each cell once; the layer above prices
         # each cell against every group at or below its budget index.
         assert profile[2]["priced_pairs"] == profile[2]["cells"]
-        n = dp._n_tuples(1)
+        n = len(dp._table[1])
         assert profile[1]["priced_pairs"] == sum(
-            n * len(dp._groups[2][b]) * (g - b) for b in range(g))
+            n * (g - b_next) for b_next, *_ in dp._candidates[1])
         for t, p in profile.items():
-            assert p["groups"] == sum(len(reps) for reps in dp._groups[t])
+            # Layer t's groups are the candidates of the layer above.
+            assert p["groups"] == len(dp._candidates[t - 1])
             assert 0 < p["groups"] <= p["cells"]
 
     def test_cells_cap(self):
@@ -174,20 +175,14 @@ class TestBlockBuild:
         dp = make()
         g = len(dp.grid)
         for t, rvec in dp._rvec.items():
-            canon_of = dp._canonical_ranks(t)
+            table = dp._table[t]
+            assert len(rvec) == len(table) * g
             for cell in range(len(rvec)):
-                rank, bi = divmod(cell, g)
-                canon = canon_of[rank]
-                if canon != rank:
-                    # Permuted tuples are copies of their sorted tuple.
-                    src = canon * g + bi
-                    assert np.array_equal(rvec[cell], rvec[src])
-                    assert np.array_equal(dp._choice[t][cell], dp._choice[t][src])
-                    continue
-                a_in = dp._a_in(t, rank)
-                _, b_next, next_cell, _ = dp._scan(t, a_in, bi)
-                assert (b_next, next_cell) == tuple(dp._choice[t][cell])
-                key, r_out = dp._continuation(t, next_cell)
+                row, bi = divmod(cell, g)
+                a_in = dp.nets[t].points[table[row]]
+                _, c, _ = dp._scan(t, a_in, bi)
+                assert c == dp._choice[t][cell]
+                b_next, key, _, r_out = dp._candidates[t][c]
                 m = dp._solve(t, key, r_out, a_in,
                               dp.grid.value(bi) - dp.grid.value(b_next))
                 assert np.array_equal(rvec[cell], r_out @ m)

@@ -353,7 +353,7 @@ class TestTwoPopulationDualStep:
         # objective must be the matrix's exact worst-population value.
         assert res.objective == float(((r_out @ m) @ a_in.T).min())
         # Swapping the populations leaves the value alone: the claim behind
-        # BackwardDP._canonical_ranks.
+        # BackwardDP's multiset table.
         swapped = solve_maximin_step(r_out, a_in[::-1], m0, mask, budget,
                                      polish=False)
         assert swapped.objective == pytest.approx(res.objective, abs=1e-12)

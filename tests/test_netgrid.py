@@ -82,11 +82,12 @@ class TestSimplexNet:
 
 
 class TestPopulationNet:
-    # The DPs enumerate population tuples as ranks over net ** populations,
-    # decoded most-significant population first.
+    # The DPs index cells by a multiset table: every multiset of net points
+    # with one point per population, as sorted net-index rows in
+    # lexicographic order.
     @staticmethod
     def _tuples(dp, t=1):
-        return [tuple(dp._digits(t, r)) for r in range(dp._n_tuples(t))]
+        return [tuple(row) for row in dp._table[t].tolist()]
 
     def test_counts(self):
         inst = po.random_instance(37, 2, 3, 1.0, 0.5)
@@ -94,16 +95,16 @@ class TestPopulationNet:
         assert len(welfare.nets[1]) == 3  # build_simplex_net(2, 1.0)
         assert self._tuples(welfare) == [(0,), (1,), (2,)]
         maximin = po.MaximinDP(inst, 1.0)
-        tuples = self._tuples(maximin)
-        assert len(tuples) == 9
-        assert tuples == sorted(tuples)  # lexicographic
-        assert len(set(tuples)) == 9
+        assert self._tuples(maximin) == [(0, 0), (0, 1), (0, 2),
+                                         (1, 1), (1, 2), (2, 2)]
 
     def test_no_duplicates_5_choose_2(self):
         inst = po.random_instance(37, 2, 3, 1.0, 0.5)
         dp = po.MaximinDP(inst, 0.5)
         assert len(dp.nets[1]) == 5  # build_simplex_net(2, 0.5)
         tuples = self._tuples(dp)
-        assert len(tuples) == 25
-        assert len(set(tuples)) == 25
-        assert dp.meta()["population_tuples"] == {1: 25}
+        assert len(tuples) == 15 == math.comb(5 + 1, 2)
+        assert len(set(tuples)) == 15
+        assert all(list(row) == sorted(row) for row in tuples)
+        assert tuples == sorted(tuples)  # lexicographic
+        assert dp.meta()["population_tuples"] == {1: 15}

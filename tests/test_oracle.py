@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import pipeopt as po
+from pipeopt import oracle
 from pipeopt.errors import CapacityError
+from pipeopt.oracle import GridPlanTable
 
 rng = np.random.default_rng(202)
 
@@ -85,6 +87,37 @@ class TestOracleExante:
         value, mixed = po.oracle_exante_maximin(inst, 0.1)
         _, reeval = po.evaluate_mixed(inst, mixed)
         assert value == pytest.approx(reeval, abs=1e-7)
+
+
+class TestStreamedMatchesDense:
+    """Past oracle.DENSE_ROWS plans the table streams its first layer; the
+    streamed reductions must pick what the materialized table picks."""
+
+    @pytest.mark.parametrize("make,eta", [
+        (lambda: po.fairness_price_instance(3, 0.1, 1.0), 0.05),
+        (lambda: po.random_instance(61, 2, 2, 1.0, 0.6), 0.1),
+        (lambda: po.random_instance(62, 2, 3, 0.7, 0.6), 0.1),
+        (lambda: po.random_instance(63, 2, 3, 1.0, 0.5), 0.1),
+        (lambda: po.separation_instance(0.6), 0.075),
+    ], ids=["fairness-price", "random-depth2", "random-masked", "random-depth3",
+            "separation"])
+    def test_streamed_matches_dense(self, monkeypatch, make, eta):
+        inst = make()
+        assert GridPlanTable(inst, eta).dense
+        oracles = (po.oracle_welfare, po.oracle_expost_maximin)
+        dense = [fn(inst, eta) for fn in oracles]
+        dense_exante, _ = po.oracle_exante_maximin(inst, eta)
+        monkeypatch.setattr(oracle, "DENSE_ROWS", 0)
+        assert not GridPlanTable(inst, eta).dense
+        for fn, (d_value, d_plan) in zip(oracles, dense):
+            value, plan = fn(inst, eta)
+            assert value == d_value
+            assert plan.budget_split == d_plan.budget_split
+            for a, b in zip(plan.matrices, d_plan.matrices):
+                np.testing.assert_array_equal(a, b)
+        value, mixed = po.oracle_exante_maximin(inst, eta)
+        assert value == pytest.approx(dense_exante, abs=1e-12)
+        assert po.mixed_violations(inst, mixed) == []
 
 
 class TestCaps:
