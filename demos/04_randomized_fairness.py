@@ -8,9 +8,13 @@ other keeps its baseline 1/8; spreading the budget helps both but less.
 Randomizing 50/50 between the two concentrated plans gives every population
 the average of the two outcomes, which no single feasible plan matches.
 
-The solver plays an adversary (multiplicative weights over starting
-populations) against a best-response welfare solver and returns the uniform
-mixture of the responses, with a regret certificate on the trace.
+The solver is a double oracle: it keeps a restricted game over the
+best-response plans found so far, solves it exactly with one LP, and asks a
+welfare solver for the best response to the adversary's optimal
+distribution over starting populations, until no response improves on the
+game.  The returned mixture carries the LP's weights, and the last response
+certifies an upper bound on the optimum.  Multiplicative-weights dynamics
+(500 rounds here) seed the game; their trace carries a regret certificate.
 """
 
 import pipeopt as po
@@ -32,9 +36,14 @@ for w, plan in mixture.support:
     print(f"    weight {w:.3f} rewards {rewards.round(4)}")
 print("  strictly beats deterministic:",
       report.objective_value > det_value)
+meta = report.solver_meta
+print(f"  double-oracle iterations {meta['oracle_iterations']}, "
+      f"certified gap {meta['gap']:.2e}")
+print(f"  upper bound on the optimum {meta['upper_bound']:.6f} "
+      f"(includes the best-response slack at br_epsilon {meta['br_epsilon']:.4f})")
 
 lhs, best_fixed, slack = trace.regret_certificate(instance.reward_sup)
-print("\nregret certificate:")
+print("\nregret certificate of the warm start:")
 print(f"  average response value {lhs:.6f}")
 print(f"  <= best fixed population {best_fixed:.6f} + slack {slack:.6f}")
 

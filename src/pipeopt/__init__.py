@@ -39,7 +39,7 @@ from .layerlp import (
 )
 from .dp_welfare import WelfareDP, solve_social_welfare
 from .dp_maximin import MaximinDP, solve_expost_maximin
-from .exante import DynamicsTrace, default_rounds, mw_update, solve_exante_maximin
+from .exante import DynamicsTrace, mw_update, solve_exante_maximin
 from .oracle import (
     GridPlanTable,
     oracle_exante_maximin,

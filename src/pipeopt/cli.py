@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-exante", help="approximate randomized maximin")
     add_common(p)
     p.add_argument("--rounds", type=_int_at_least(1), default=None,
-                   help="dynamics horizon (default from epsilon)")
+                   help="MW warm-start rounds (default 1)")
 
     p = sub.add_parser("oracle", help="brute-force grid baselines")
     p.add_argument("--instance", required=True)

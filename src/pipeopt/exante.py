@@ -1,13 +1,16 @@
-"""Randomized maximin via two-player dynamics.
+"""Randomized maximin via a double oracle over the designer's plans.
 
 The randomized problem is a zero-sum game: an adversary picks the starting
-population, the designer picks a feasible intervention.  The adversary runs
-multiplicative weights over starting nodes; the designer answers each round
-with a welfare-maximizing intervention against the adversary's current
-distribution (the welfare DP, whose memo is built once and queried per
-round).  The uniform mixture of the designer's responses approximately
-optimizes the randomized maximin objective, with error split between the
-best-response accuracy and the adversary's regret.
+population, the designer picks a feasible intervention.  The designer's best
+response to any adversary distribution is one query into the welfare DP,
+whose memo is built once.  A few rounds of multiplicative weights (one by
+default) seed a restricted game with their responses.  The double oracle
+(McMahan, Gordon & Blum 2003) then solves the restricted game exactly
+(`oracle.mixture_game`), asks the DP for a best response to the adversary's
+optimal distribution, and adds it, until that response gains nothing over
+the restricted game's value.  The DP's plan set is finite, so this ends.
+The reported mixture is the restricted game's optimum, and the last response
+certifies how far the optimum can lie above it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 
 from .model import (
     Instance,
+    InterventionPlan,
     MixedPlan,
     SolveReport,
     evaluate_mixed,
@@ -27,9 +31,15 @@ from .model import (
 )
 from .dp_welfare import WelfareDP, dp_cell_count
 from .netgrid import budget_grid_size
+from .oracle import mixture_game
 
 DEFAULT_BR_CELLS_CAP = 50_000
 _CACHE_DECIMALS = 12
+# The double oracle stops once the best response to the restricted game's
+# optimal adversary beats the game's value by at most ORACLE_TOL; hitting
+# the iteration cap is reported as solver_meta["oracle_capped"].
+ORACLE_TOL = 1e-9
+ORACLE_MAX_ITERATIONS = 50
 
 
 @dataclass
@@ -39,6 +49,7 @@ class RoundRecord:
     br_value: float            # exact welfare of the response under it
     rewards: np.ndarray        # exact per-population rewards of the response
     utilities: np.ndarray      # rewards / max reward, in [0, 1]
+    plan: InterventionPlan     # the response itself
 
 
 @dataclass
@@ -82,77 +93,87 @@ def mw_update(dist, utilities, beta: float) -> np.ndarray:
     return w / w.sum()
 
 
-def default_rounds(populations: int, epsilon: float) -> int:
-    """Horizon making the regret term comparable to epsilon."""
-    if populations < 2:
-        return 1
-    return max(1, math.ceil(2 * math.log(populations) / epsilon ** 2))
-
-
-def _effective_br_epsilon(instance: Instance, requested: float, cells_cap: int) -> float:
+def _effective_br_epsilon(instance: Instance, requested: float, cells_cap: int) -> tuple:
     """Coarsen the best-response discretization until its memo fits the cap.
 
     When coarsening kicks in, the step is snapped to an exact divisor of the
-    budget so the full budget stays on the grid.
+    budget so the full budget stays on the grid.  Returns (eps, coarsened):
+    coarsened is None when the requested step fit, and otherwise records the
+    requested step, the cap and the predicted cell counts before and after.
     """
     eps = requested
-    while dp_cell_count(instance, eps, 1) > cells_cap and eps < 2.0:
+    cells = requested_cells = dp_cell_count(instance, eps, 1)
+    while cells > cells_cap and eps < 2.0:
         eps *= 2.0
-    if eps != requested and instance.budget > 0:
+        cells = dp_cell_count(instance, eps, 1)
+    if eps == requested:
+        return eps, None
+    if instance.budget > 0:
         m = max(1, budget_grid_size(instance.budget, eps) - 1)
         snapped = instance.budget / m
-        if dp_cell_count(instance, snapped, 1) <= cells_cap:
-            eps = snapped
-    return eps
+        snapped_cells = dp_cell_count(instance, snapped, 1)
+        if snapped_cells <= cells_cap:
+            eps, cells = snapped, snapped_cells
+    return eps, {"requested": requested, "cap": cells_cap,
+                 "requested_cells": requested_cells, "cells": cells}
 
 
 def solve_exante_maximin(instance: Instance, epsilon: float, rounds: int | None = None,
                          br_epsilon: float | None = None,
                          br_cells_cap: int = DEFAULT_BR_CELLS_CAP) -> tuple:
-    """Approximately optimal randomized intervention.
+    """Approximately optimal randomized intervention, with a certified gap.
 
-    Returns (MixedPlan, SolveReport, DynamicsTrace).  The mixture is the
-    uniform distribution over the per-round best responses (identical plans
-    merged); its exact randomized-maximin value is the reported objective.
-    With a best response within eps_br of optimal, the value is within
-    eps_br + sqrt(2 ln w / T) + ln w / T (times the top reward) of optimal.
+    Returns (MixedPlan, SolveReport, DynamicsTrace).  `rounds` multiplicative-
+    weights rounds (default 1: the uniform adversary) seed the restricted
+    game with their best responses, and the trace records those rounds
+    only.  The double oracle then alternates the restricted game's exact
+    solution with a best response to its optimal adversary until that
+    response gains at most ORACLE_TOL, or repeats a plan already in the game.
+    The mixture carries the game's weights over distinct plans; its exact
+    randomized-maximin value is the reported objective.
+
+    With k = depth and a best response within 3(k-1)*eps_br*max(R) of
+    optimal, the optimum is at most solver_meta["upper_bound"] (the last
+    response's value under the last adversary plus that slack), so the
+    objective is within gap + 3(k-1)*eps_br*max(R) of optimal.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     t0 = time.perf_counter()
     pops = instance.layer_sizes[0]
-    t_max = default_rounds(pops, epsilon) if rounds is None else int(rounds)
+    t_max = 1 if rounds is None else int(rounds)
     if t_max < 1:
         raise ValueError("rounds must be >= 1")
     beta = 1.0 / (1.0 + math.sqrt(2 * math.log(pops) / t_max)) if pops >= 2 else 0.5
 
     requested = epsilon / (3 * (instance.depth - 1))
-    eps_br = requested if br_epsilon is None else float(br_epsilon)
     if br_epsilon is None:
-        eps_br = _effective_br_epsilon(instance, requested, br_cells_cap)
+        eps_br, coarsened = _effective_br_epsilon(instance, requested, br_cells_cap)
+    else:
+        eps_br, coarsened = float(br_epsilon), None
     dp = WelfareDP(instance, eps_br, cells_cap=max(br_cells_cap, 1))
 
-    reward_sup = instance.reward_sup
-    trace = DynamicsTrace(beta=beta, br_epsilon=eps_br, requested_br_epsilon=requested)
-    dist = np.full(pops, 1.0 / pops)
     cache = {}
-    counts = {}
-    plans = {}
-    for rnd in range(t_max):
+
+    def respond(dist):
         key = tuple(np.round(dist, _CACHE_DECIMALS))
         hit = cache.get(key)
         if hit is None:
             _, plan = dp.solve_for(dist)
-            rewards = evaluate_population_rewards(instance, plan)
             plan_key = (
                 tuple(m.tobytes() for m in plan.matrices),
                 tuple(plan.budget_split),
             )
-            hit = (plan, rewards, plan_key)
-            cache[key] = hit
-        plan, rewards, plan_key = hit
-        counts[plan_key] = counts.get(plan_key, 0) + 1
-        plans[plan_key] = plan
+            hit = cache[key] = (plan, evaluate_population_rewards(instance, plan), plan_key)
+        return hit
+
+    reward_sup = instance.reward_sup
+    trace = DynamicsTrace(beta=beta, br_epsilon=eps_br, requested_br_epsilon=requested)
+    game = {}  # plan key -> (plan, exact per-population rewards), in order found
+    dist = np.full(pops, 1.0 / pops)
+    for rnd in range(t_max):
+        plan, rewards, plan_key = respond(dist)
+        game.setdefault(plan_key, (plan, rewards))
         utilities = rewards / reward_sup if reward_sup > 0 else np.zeros_like(rewards)
         trace.rounds.append(RoundRecord(
             index=rnd,
@@ -160,18 +181,29 @@ def solve_exante_maximin(instance: Instance, epsilon: float, rounds: int | None 
             br_value=float(rewards @ dist),
             rewards=rewards,
             utilities=utilities,
+            plan=plan,
         ))
         if pops >= 2 and rnd + 1 < t_max:
             dist = mw_update(dist, utilities, beta)
 
-    support = tuple(
-        (counts[k] / t_max, plans[k]) for k in sorted(counts.keys())
-    )
-    mixture = MixedPlan(support=support)
-    avg_rewards, value = evaluate_mixed(instance, mixture)
+    for iterations in range(1, ORACLE_MAX_ITERATIONS + 1):
+        rows = list(game.values())
+        value, lam, mu = mixture_game([r for _, r in rows])
+        plan, rewards, plan_key = respond(mu)
+        br_value = float(rewards @ mu)
+        converged = br_value <= value + ORACLE_TOL or plan_key in game
+        if converged:
+            break
+        game[plan_key] = (plan, rewards)
+
+    mixture = MixedPlan(support=tuple(
+        (float(lam[i]), rows[i][0]) for i in np.flatnonzero(lam)
+    ))
+    avg_rewards, objective = evaluate_mixed(instance, mixture)
+    br_slack = 3 * (instance.depth - 1) * eps_br * reward_sup
     lhs, best_fixed, slack = trace.regret_certificate(reward_sup)
     report = SolveReport(
-        objective_value=value,
+        objective_value=objective,
         per_population_rewards=avg_rewards,
         budget_used=max(p.total_cost(instance) for p in mixture.plans),
         solver_meta={
@@ -180,7 +212,12 @@ def solve_exante_maximin(instance: Instance, epsilon: float, rounds: int | None 
             "beta": beta,
             "br_epsilon": eps_br,
             "requested_br_epsilon": requested,
-            "support_size": len(support),
+            "br_epsilon_coarsened": coarsened,
+            "support_size": len(mixture.support),
+            "oracle_iterations": iterations,
+            "oracle_capped": not converged,
+            "upper_bound": br_value + br_slack,
+            "gap": br_value - objective,
             "regret_lhs": lhs,
             "regret_best_fixed": best_fixed,
             "regret_slack": slack,

@@ -5,7 +5,8 @@ grid step eta (relative to the initial matrices, so the do-nothing plan is
 always included), evaluate all of them exactly, and return the best.  They
 share no machinery with the dynamic programs or the step solvers: evaluation
 is plain batched matrix algebra, which is what makes them usable as an
-independent check.
+independent check.  The one piece lent the other way is the mixture LP,
+`mixture_game`, which the randomized solver solves over its own plans.
 
 Intended envelope: width <= 3, depth <= 4, eta coarse enough that the joint
 enumeration stays under the cap (10^7 plans by default; the cap is a
@@ -400,10 +401,24 @@ def oracle_exante_maximin(instance: Instance, eta: float, cap: int = ORACLE_CAP)
         frontier = merged[keep]
         idents = [pid for pid, k in zip(pool_ids, keep) if k]
         rebuild = table.plan_for_stream
-    f, s1 = frontier.shape
+    value, lam, _ = mixture_game(frontier)
+    support = [(float(lam[i]), rebuild(idents[i])) for i in np.flatnonzero(lam)]
+    return value, MixedPlan(support=tuple(support))
+
+
+def mixture_game(values) -> tuple:
+    """Solve the zero-sum game max_lambda min_j sum_i lambda_i * values[i, j].
+
+    Rows are the designer's plans, columns the adversary's populations.
+    Returns (v, lambda, mu): the game value, the designer's weights (entries
+    at or below 1e-10 dropped, the rest renormalized) and the adversary's
+    optimal distribution, read from the LP dual (HiGHS marginals).
+    """
+    values = np.asarray(values, dtype=float)
+    f, s1 = values.shape
     c = np.zeros(f + 1)
     c[-1] = -1.0
-    a_ub = np.hstack([-frontier.T, np.ones((s1, 1))])
+    a_ub = np.hstack([-values.T, np.ones((s1, 1))])
     b_ub = np.zeros(s1)
     a_eq = np.zeros((1, f + 1))
     a_eq[0, :f] = 1.0
@@ -411,9 +426,8 @@ def oracle_exante_maximin(instance: Instance, eta: float, cap: int = ORACLE_CAP)
                   bounds=[(0.0, None)] * f + [(None, None)], method="highs")
     if res.status != 0:
         raise RuntimeError(f"mixture LP failed: {res.message}")
-    lam = res.x[:f]
-    support = [(float(lam[i]), rebuild(idents[i]))
-               for i in range(f) if lam[i] > 1e-10]
-    total = sum(w for w, _ in support)
-    support = [(w / total, p) for w, p in support]
-    return float(res.x[-1]), MixedPlan(support=tuple(support))
+    lam = np.where(res.x[:f] > 1e-10, res.x[:f], 0.0)
+    lam /= sum(float(w) for w in lam if w > 0)
+    mu = np.maximum(-res.ineqlin.marginals, 0.0)
+    mu /= mu.sum()
+    return float(res.x[-1]), lam, mu

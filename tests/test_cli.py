@@ -139,6 +139,21 @@ class TestCli:
         b["meta"].pop("wall_ms")
         assert a == b
 
+    def test_deterministic_exante_reports(self, capsys, contrast_file, tmp_path):
+        # The double oracle follows the LP dual, whose ties HiGHS must break
+        # the same way on every run.
+        reports, mixtures = [], []
+        for i in range(2):
+            path = tmp_path / f"mixture{i}.json"
+            code, out = run_cli(capsys, "solve-exante", "--instance", contrast_file,
+                                "--epsilon", "0.1", "--out", str(path))
+            assert code == 0
+            out["meta"].pop("wall_ms")
+            reports.append(out)
+            mixtures.append(path.read_bytes())
+        assert reports[0] == reports[1]
+        assert mixtures[0] == mixtures[1]
+
     def test_gen_then_oracle_pipeline(self, capsys, tmp_path):
         sep = str(tmp_path / "sep.json")
         code, out = run_cli(capsys, "gen", "--family", "separation",

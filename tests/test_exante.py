@@ -1,12 +1,11 @@
-"""Randomized maximin dynamics: updates, regret, separation."""
-
-import math
+"""Randomized maximin: MW updates, regret, the double oracle, separation."""
 
 import numpy as np
 import pytest
 
 import pipeopt as po
-from pipeopt.exante import default_rounds, mw_update
+from pipeopt import exante
+from pipeopt.exante import mw_update
 
 rng = np.random.default_rng(99)
 
@@ -111,9 +110,87 @@ class TestDynamics:
         assert deterministic == pytest.approx(0.55 ** 3, abs=1e-12)
         assert report.objective_value > deterministic
 
-    def test_default_rounds(self):
-        assert default_rounds(1, 0.1) == 1
-        assert default_rounds(2, 0.1) == math.ceil(2 * math.log(2) / 0.01)
+    def test_default_is_one_warm_start_round(self):
+        inst = po.fairness_price_instance(3, 0.1, 1.0)
+        _, report, trace = po.solve_exante_maximin(inst, 0.1)
+        assert report.solver_meta["rounds"] == 1
+        assert len(trace.rounds) == 1
+
+
+class TestDoubleOracle:
+    def test_default_gap_is_certified(self):
+        for inst in (po.fairness_price_instance(3, 0.1, 1.0),
+                     po.separation_instance(0.6),
+                     po.random_instance(3000, 3, 3, 1.0, 1.0)):
+            mixture, report, _ = po.solve_exante_maximin(inst, 0.1)
+            meta = report.solver_meta
+            assert meta["gap"] <= exante.ORACLE_TOL
+            assert meta["oracle_iterations"] <= exante.ORACLE_MAX_ITERATIONS
+            assert not meta["oracle_capped"]
+            slack = 3 * (inst.depth - 1) * meta["br_epsilon"] * inst.reward_sup
+            assert meta["upper_bound"] == pytest.approx(
+                report.objective_value + meta["gap"] + slack, abs=1e-12)
+            assert po.mixed_violations(inst, mixture) == []
+
+    @pytest.mark.parametrize("inst, eta", [
+        (po.fairness_price_instance(3, 0.1, 1.0), 1 / 12),
+        (po.separation_instance(0.6), 0.075),
+    ])
+    def test_upper_bound_above_grid_optimum(self, inst, eta):
+        # The grid optimum is a lower bound on the randomized optimum, which
+        # the certificate bounds from above.
+        _, report, _ = po.solve_exante_maximin(inst, 0.05)
+        grid_value, _ = po.oracle_exante_maximin(inst, eta)
+        assert grid_value <= report.solver_meta["upper_bound"] + 1e-9
+
+    def test_reaches_fair_value(self):
+        inst = po.fairness_price_instance(3, 0.1, 1.0)
+        _, report, _ = po.solve_exante_maximin(inst, 0.05)
+        assert report.objective_value == pytest.approx(1 / 6, abs=1e-9)
+
+    @pytest.mark.parametrize("inst, rounds", [
+        (po.fairness_price_instance(3, 0.1, 1.0), 100),
+        (po.separation_instance(0.6), 150),
+        (po.random_instance(3001, 3, 3, 1.0, 1.0), 40),
+    ])
+    def test_no_worse_than_uniform_warm_start(self, inst, rounds):
+        # The uniform mixture of the MW responses is a feasible point of the
+        # restricted game, so the reported mixture cannot fall below it.
+        _, report, trace = po.solve_exante_maximin(inst, 0.1, rounds=rounds)
+        uniform = po.MixedPlan(support=tuple((1 / rounds, r.plan) for r in trace.rounds))
+        _, uniform_value = po.evaluate_mixed(inst, uniform)
+        assert report.objective_value >= uniform_value - 1e-12
+
+    def test_iteration_cap_is_reported(self, monkeypatch):
+        monkeypatch.setattr(exante, "ORACLE_MAX_ITERATIONS", 1)
+        inst = po.separation_instance(0.6)
+        mixture, report, _ = po.solve_exante_maximin(inst, 0.05)
+        assert report.solver_meta["oracle_capped"] is True
+        assert report.solver_meta["oracle_iterations"] == 1
+        assert po.mixed_violations(inst, mixture) == []
+
+
+class TestBrEpsilonCoarsened:
+    def test_workload_instance_reports_counts(self):
+        inst = po.random_instance(3000, 3, 3, 1.0, 1.0)
+        _, report, _ = po.solve_exante_maximin(inst, 0.1, br_cells_cap=1000)
+        meta = report.solver_meta
+        info = meta["br_epsilon_coarsened"]
+        assert set(info) == {"requested", "cap", "requested_cells", "cells"}
+        assert info["requested"] == meta["requested_br_epsilon"]
+        assert info["cap"] == 1000
+        assert info["requested_cells"] > 1000 >= info["cells"]
+        assert info["requested_cells"] == po.dp_welfare.dp_cell_count(
+            inst, meta["requested_br_epsilon"], 1)
+        assert info["cells"] == meta["dp_cells"]
+        assert meta["br_epsilon"] > meta["requested_br_epsilon"]
+
+    def test_uncoarsened_is_none(self):
+        inst = po.fairness_price_instance(3, 0.1, 1.0)
+        _, report, _ = po.solve_exante_maximin(inst, 0.1)
+        meta = report.solver_meta
+        assert meta["br_epsilon_coarsened"] is None
+        assert meta["br_epsilon"] == meta["requested_br_epsilon"]
 
 
 def even_split_plan(instance):

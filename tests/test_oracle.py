@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import pipeopt as po
 from pipeopt import oracle
 from pipeopt.errors import CapacityError
-from pipeopt.oracle import GridPlanTable
+from pipeopt.oracle import GridPlanTable, mixture_game
 
 rng = np.random.default_rng(202)
 
@@ -87,6 +89,26 @@ class TestOracleExante:
         value, mixed = po.oracle_exante_maximin(inst, 0.1)
         _, reeval = po.evaluate_mixed(inst, mixed)
         assert value == pytest.approx(reeval, abs=1e-7)
+
+
+class TestMixtureGame:
+    # The LP behind the ex-ante oracle and the randomized solver's double
+    # oracle; the solver reads its dual as the adversary's next move.
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 8), st.integers(1, 4)),
+        elements=st.floats(0.0, 1.0, allow_nan=False, allow_subnormal=False),
+    ))
+    def test_value_weights_and_dual(self, values):
+        v, lam, mu = mixture_game(values)
+        assert lam.shape == (values.shape[0],) and mu.shape == (values.shape[1],)
+        for dist in (lam, mu):
+            assert np.all(dist >= 0)
+            assert dist.sum() == pytest.approx(1.0, abs=1e-9)
+        assert v == pytest.approx(float((lam @ values).min()), abs=1e-9)
+        # The adversary's distribution is optimal: no plan beats v against it.
+        assert float((values @ mu).max()) <= v + 1e-9
 
 
 class TestStreamedMatchesDense:
