@@ -54,13 +54,17 @@ class MaximinDP(BackwardDP):
         self.step_calls[res.path] += 1
         return res
 
-    def _price(self, t, key, r_out, a_in, budget):
-        # The scan keeps the winner's matrix, so no cell is solved twice.
-        res = self._step(t, r_out, a_in, budget)
-        return res.objective, res.matrix
+    def _price_block(self, t, key, r_out, a_in, budgets):
+        # Every step is an LP or dual solve that makes its matrix anyway;
+        # handing them all back means no cell is solved twice.
+        steps = [[self._step(t, r_out, a, float(b)) for a in a_in]
+                 for b in budgets]
+        return (np.array([[s.objective for s in row] for row in steps]),
+                np.array([[s.matrix for s in row] for row in steps]))
 
-    def _solve(self, t, key, r_out, a_in, budget):
-        return self._step(t, r_out, a_in, budget).matrix
+    def _solve_block(self, t, key, r_out, a_in, budgets):
+        return np.array([self._step(t, r_out, a, float(b)).matrix
+                         for a, b in zip(a_in, budgets)])
 
     def solve(self) -> tuple:
         """(memo objective, plan) starting from the exact per-node tuple."""

@@ -17,23 +17,20 @@ each such group enters the list once, through its first cell; the terminal
 layer's list is the single candidate `rewards` with no budget reserved
 downstream.  A cell's value is the best step over the candidates at or
 below its budget index; ties break toward the earlier candidate, so results
-are reproducible.  The memo stores the winning candidate's index per cell,
-and both the build and the scalar scan walk the same list.
+are reproducible.  The memo stores the winning candidate's index per cell.
 
-The build sweeps each layer candidate by candidate: a candidate is priced
-against every (row, budget) cell it can serve in one `_price_block` call.
-A per-cell running best that changes only on a strict improvement picks the
-same winners as the per-cell scan; the winners' matrices then come from
-`_solve_block` calls per candidate, unless pricing already handed them
-back.  The default block hooks call the scalar hooks `_price` (step value,
-plus its matrix when pricing produces one) and `_solve` (step matrix) per
-cell; the maximin DP uses them.  WelfareDP overrides them with
+There is one pricing path, `_price_layer`: a candidate is priced against
+every (row, budget) cell it can serve in one `_price_block` call, and a
+per-cell running best changes only on a strict improvement.  The build
+prices every table row at every budget index, then solves the winners'
+matrices with `_solve_block` per winning candidate, unless pricing already
+handed them back.  A query (`_query`, hence every best response of the
+randomized solver) prices its one first-layer cell as a one-row layer at
+the top budget index, then follows the memo's winners down, solving each
+step with a one-row `_solve_block`.  WelfareDP's hooks are
 `WelfareStepSolver.value_block`/`solve_block`: a vectorized greedy that
-reproduces the scalar one bitwise for unit costs, and a loop over the LP for
-weighted costs, so the memo is the same as a per-cell scan's.  Queries
-(`_query`, hence every best response of the randomized solver) keep the
-scalar `_scan`: a query prices one cell, and batching the first-layer
-candidates gave the randomized solver no speedup.
+reproduces the scalar one bitwise for unit costs, and a loop over the LP
+for weighted costs.  MaximinDP's hooks loop over the maximin step per pair.
 
 Welfare is the one-population case: a cell tracks one layer distribution and
 the step is the exact welfare step.  Everything below layer 1 is independent
@@ -91,12 +88,14 @@ class BackwardDP:
     """The backward sweep over (layer, budget, population multiset) cells.
 
     Subclasses set `pops` and `kind` before calling this constructor and
-    implement `_price(t, key, r_out, a_in, budget) -> (value, matrix or
-    None)` and `_solve(t, key, r_out, a_in, budget) -> matrix`.  `key`
-    identifies the continuation ("terminal" or the representative cell) so
-    step solvers may be cached on it; `a_in` is the (pops, s_t) stack of
-    input distributions.  They may override `_price_block`/`_solve_block`
-    with a batched step that gives the same results.
+    implement the two step hooks.  `_price_block(t, key, r_out, a_in,
+    budgets)` returns the (budgets, rows) step values of one continuation
+    for every budget and every row of the (rows, pops, s_t) stack `a_in`,
+    plus the matching matrices, or None when pricing makes none.
+    `_solve_block(t, key, r_out, a_in, budgets)` returns the step matrices
+    for paired rows, a_in[i] at budgets[i].  `key` identifies the
+    continuation ("terminal" or the representative cell) so step solvers
+    may be cached on it.
     """
 
     pops: int
@@ -104,16 +103,16 @@ class BackwardDP:
 
     def __init__(self, instance: Instance, epsilon: float,
                  cells_cap: int = DEFAULT_CELLS_CAP):
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
-        self.instance = instance
-        self.epsilon = float(epsilon)
-        self.grid = build_budget_grid(instance.budget, epsilon)
+        if not (math.isfinite(epsilon) and epsilon > 0):
+            raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
         predicted = dp_cell_count(instance, epsilon, self.pops)
         if predicted > cells_cap:
             raise CapacityError(
                 f"{self.kind} DP would hold {predicted} cells (cap {cells_cap})"
             )
+        self.instance = instance
+        self.epsilon = float(epsilon)
+        self.grid = build_budget_grid(instance.budget, epsilon)
         nets_by_dim = {}
         self.nets = {}
         self._table = {}    # layer -> (rows, pops) multiset table
@@ -136,18 +135,6 @@ class BackwardDP:
 
     # -- sweep -----------------------------------------------------------------
 
-    def _scan(self, t: int, a_in, bi: int):
-        """Best (value, candidate index, matrix or None) for a cell."""
-        best = (-math.inf, -1, None)
-        for c, (b_next, key, _, r_out) in enumerate(self._candidates[t]):
-            if b_next > bi:
-                break
-            step_budget = self.grid.value(bi) - self.grid.value(b_next)
-            value, matrix = self._price(t, key, r_out, a_in, step_budget)
-            if value > best[0]:
-                best = (value, c, matrix)
-        return best
-
     def _group_layer(self, t: int):
         """Turn built layer t into the candidate list of layer t - 1.
 
@@ -167,38 +154,50 @@ class BackwardDP:
                 candidates.append((b_next, cell, cell, rvec[cell]))
         self._candidates[t - 1] = candidates
 
-    def _price_block(self, t, key, r_out, a_in, budgets):
-        """Step values of one continuation for every (budget, row) pair.
+    def _price_layer(self, t: int, a_in, lo: int = 0) -> tuple:
+        """Best step over layer t's candidates for every (budget, row) cell.
 
-        a_in is the (rows, pops, s_t) stack; returns the (budgets, rows)
-        values and the matching matrices, or None when pricing makes none.
-        This default calls `_price` per pair.
+        a_in is the (rows, pops, s_t) stack; only budget indices >= lo are
+        priced.  Each candidate is priced for every row and every budget
+        index it can serve, in block calls of at most _BLOCK_ROWS rows, and
+        a per-cell running best is replaced only on a strict `>`, so ties
+        go to the earlier candidate.  Returns (best, winner, kept, priced):
+        the (g - lo, rows) values and winning candidate indices, the
+        winners' matrices (None when pricing hands back none) and the number
+        of pairs priced.
         """
-        values = np.empty((len(budgets), len(a_in)))
-        mats = None
-        for b, budget in enumerate(budgets):
-            for j, a in enumerate(a_in):
-                values[b, j], m = self._price(t, key, r_out, a, float(budget))
-                if m is not None:
-                    if mats is None:
-                        mats = np.empty(values.shape + m.shape)
-                    mats[b, j] = m
-        return values, mats
-
-    def _solve_block(self, t, key, r_out, a_in, budgets):
-        """Step matrices for paired rows: a_in[i] at budgets[i]."""
-        return np.array([self._solve(t, key, r_out, a, float(b))
-                         for a, b in zip(a_in, budgets)])
+        g = len(self.grid)
+        pts = self.grid.points
+        n = len(a_in)
+        best = np.full((g - lo, n), -np.inf)
+        winner = np.zeros((g - lo, n), dtype=np.int64)
+        kept = None
+        priced = 0
+        for c, (b_next, key, _, r_out) in enumerate(self._candidates[t]):
+            first = max(b_next, lo)
+            budgets = pts[first:] - pts[b_next]
+            for j in range(0, n, _BLOCK_ROWS):
+                cols = slice(j, j + _BLOCK_ROWS)
+                values, mats = self._price_block(t, key, r_out, a_in[cols],
+                                                 budgets)
+                priced += values.size
+                cur = best[first - lo:, cols]
+                better = values > cur
+                if not np.count_nonzero(better):  # cheaper than .any()
+                    continue
+                cur[better] = values[better]
+                winner[first - lo:, cols][better] = c
+                if mats is not None:
+                    if kept is None:
+                        kept = np.empty(best.shape + mats.shape[2:])
+                    kept[first - lo:, cols][better] = mats[better]
+        return best, winner, kept, priced
 
     def _build(self):
-        """Fill the memo one layer at a time, one candidate at a time.
+        """Fill the memo one layer at a time with `_price_layer`.
 
-        A candidate is priced for every table row and every budget index it
-        can serve, in block calls of at most _BLOCK_ROWS rows.  A per-cell
-        running best replaced only on a strict `>`, with candidates in scan
-        order, picks exactly the winner `_scan` picks.  The winners'
-        matrices are then solved in blocks of cells that share a winning
-        candidate.
+        The winners' matrices, unless pricing kept them, are then solved in
+        blocks of cells that share a winning candidate.
         """
         inst = self.instance
         g = len(self.grid)
@@ -207,25 +206,7 @@ class BackwardDP:
             a_in = self.nets[t].points[self._table[t]]
             n = len(a_in)
             candidates = self._candidates[t]
-            best = np.full((g, n), -np.inf)
-            winner = np.zeros((g, n), dtype=np.int64)
-            kept = None  # winners' matrices, when pricing hands them back
-            priced = 0
-            for c, (b_next, key, _, r_out) in enumerate(candidates):
-                budgets = pts[b_next:] - pts[b_next]
-                for lo in range(0, n, _BLOCK_ROWS):
-                    cols = slice(lo, lo + _BLOCK_ROWS)
-                    values, mats = self._price_block(t, key, r_out, a_in[cols],
-                                                     budgets)
-                    cur = best[b_next:, cols]
-                    better = values > cur
-                    cur[better] = values[better]
-                    winner[b_next:, cols][better] = c
-                    if mats is not None:
-                        if kept is None:
-                            kept = np.empty(best.shape + mats.shape[2:])
-                        kept[b_next:, cols][better] = mats[better]
-                    priced += values.size
+            _, winner, kept, priced = self._price_layer(t, a_in)
             rvec = np.empty((n, g, inst.layer_sizes[t]))
             # Cells grouped by winning candidate, in blocks of _BLOCK_ROWS.
             flat = winner.ravel()
@@ -253,17 +234,24 @@ class BackwardDP:
             }
 
     def _query(self, a_in) -> tuple:
-        """(memo chain value, reconstructed plan) from first-layer inputs."""
+        """(memo chain value, reconstructed plan) from first-layer inputs.
+
+        The first layer is priced as a one-row layer at the top budget
+        index; deeper layers follow the memo's winners.
+        """
         inst = self.instance
         g = len(self.grid)
         t, bi = 0, g - 1
-        value, c, matrix = self._scan(t, a_in, bi)
+        best, winner, kept, _ = self._price_layer(t, a_in[None], lo=bi)
+        c = winner[0, 0]
+        matrix = None if kept is None else kept[0, 0]
         mats, split = [], []
         while True:
             b_next, key, next_cell, r_out = self._candidates[t][c]
             step_budget = self.grid.value(bi) - self.grid.value(b_next)
             if matrix is None:
-                matrix = self._solve(t, key, r_out, a_in, step_budget)
+                matrix = self._solve_block(t, key, r_out, a_in[None],
+                                           np.array([step_budget]))[0]
             mats.append(matrix)
             split.append(step_budget)
             if t == inst.depth - 2:
@@ -272,7 +260,7 @@ class BackwardDP:
             a_in = self.nets[t].points[self._table[t][next_cell // g]]
             c, matrix = self._choice[t][next_cell], None
         plan = InterventionPlan(matrices=tuple(mats), budget_split=tuple(split))
-        return float(value), plan
+        return float(best[0, 0]), plan
 
     def meta(self) -> dict:
         return {
@@ -309,15 +297,8 @@ class WelfareDP(BackwardDP):
             self._solver_cache[k] = s
         return s
 
-    def _price(self, t, key, r_out, a_in, budget):
-        # Value only: the scan never needs the losing matrices, and the
-        # winner's is solved once by `_solve`.
-        return self._solver_for(t, key, r_out).value(a_in[0], budget), None
-
-    def _solve(self, t, key, r_out, a_in, budget):
-        return self._solver_for(t, key, r_out).solve(a_in[0], budget).matrix
-
     def _price_block(self, t, key, r_out, a_in, budgets):
+        # Values only: the winners' matrices are solved once afterwards.
         solver = self._solver_for(t, key, r_out)
         return solver.value_block(a_in[:, 0], budgets), None
 
@@ -330,8 +311,15 @@ class WelfareDP(BackwardDP):
         d1 is used exactly (it is never rounded to the net); zero entries are
         allowed here even though instances require strictly positive starts,
         because best-response queries feed arbitrary adversary distributions.
+        d1 must be a finite, non-negative vector over the first layer.
         """
-        return self._query(np.asarray(d1, dtype=float)[None, :])
+        d1 = np.asarray(d1, dtype=float)
+        if (d1.shape != (self.instance.layer_sizes[0],)
+                or not np.all(np.isfinite(d1)) or np.any(d1 < 0)):
+            raise ValueError(
+                f"d1 must be a finite, non-negative vector of length "
+                f"{self.instance.layer_sizes[0]}, got {d1.tolist()}")
+        return self._query(d1[None, :])
 
 
 def solve_social_welfare(instance: Instance, epsilon: float,

@@ -137,8 +137,9 @@ def solve_exante_maximin(instance: Instance, epsilon: float, rounds: int | None 
     response's value under the last adversary plus that slack), so the
     objective is within gap + 3(k-1)*eps_br*max(R) of optimal.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    for name, value in (("epsilon", epsilon), ("br_epsilon", br_epsilon)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     t0 = time.perf_counter()
     pops = instance.layer_sizes[0]
     t_max = 1 if rounds is None else int(rounds)

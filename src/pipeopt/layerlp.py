@@ -14,9 +14,10 @@ gain rate, and donor capacities are independent, so filling the best rates
 first is optimal (a fractional knapsack).  The greedy is a heap walk over
 per-column segment lists; `WelfareStepSolver.value_block`/`solve_block`
 replay the same walk for many (input, budget) pairs at once with numpy,
-bitwise equal to the walk; the welfare DP's build prices with them.
-The scalar walk stays for one-off steps: DP queries, the two-population
-maximin step, and the reference the block forms are tested against.
+bitwise equal to the walk; the welfare DP prices every step with them.
+The scalar walk serves the blocks of a single pair (a DP query's steps),
+the two-population maximin step, and the tests, as the reference the
+block forms are checked against.
 
 The maximin step couples populations.  With two populations and unit costs
 it needs no LP: by the minimax theorem its value is the smallest welfare-step
@@ -148,13 +149,14 @@ class WelfareStepSolver:
 
         Yields (effective rate, segment index, take) per rank: the first two
         are (n,) arrays over the rows of D, which is (n, s); budgets
-        broadcasts against (n,), and every take has the broadcast shape.  Each row's segments are ranked by the heap's key
-        (-rate * d[u], u, pos): a stable sort of the negated effective rates
-        over the (column, pos) listing.  A column with d[u] == 0 never enters
-        the heap, so it gets zero capacity here.  Budget beyond the last
-        segment, or after the budget is spent, is taken as 0, which adds
-        exactly nothing; so per (input, budget) every sum and move happens in
-        the order `_walk` yields it, with the same operands.
+        broadcasts against (n,), and every take has the broadcast shape.
+        Each row's segments are ranked by the heap's key (-rate * d[u], u,
+        pos): a stable sort of the negated effective rates over the (column,
+        pos) listing.  A column with d[u] == 0 never enters the heap, so it
+        gets zero capacity here.  Budget beyond the last segment, or after
+        the budget is spent, is taken as 0, which adds exactly nothing; so
+        per (input, budget) every sum and move happens in the order `_walk`
+        yields it, with the same operands.
         """
         rate, cap, col = self._flat_segments()[:3]
         eff = rate * D[:, col]
@@ -173,12 +175,15 @@ class WelfareStepSolver:
         """`value` for every (budget, input) pair: a (len(budgets), len(D)) table.
 
         Bitwise equal to calling `value` per pair.  Weighted costs loop over
-        `value`, which solves the LP.
+        `value`, which solves the LP; a single pair goes to `value` too, as
+        the heap walk is cheaper than the numpy one there.
         """
         D = np.atleast_2d(np.asarray(D, dtype=float))
         budgets = np.asarray(budgets, dtype=float)
         if self.weights is not None:
             return np.array([[self.value(d, b) for d in D] for b in budgets])
+        if D.shape[0] * budgets.size == 1:
+            return np.array([[self.value(D[0], budgets[0])]])
         # The stacked product reproduces `col_base @ d` per row bitwise;
         # `D @ col_base` can differ in the last bit.
         start = (D[:, None, :] @ self.col_base[:, None])[:, 0, 0]
@@ -193,13 +198,14 @@ class WelfareStepSolver:
         Bitwise equal to calling `solve` per row.  Moves touch only their own
         column, and `_walk` visits a column's segments in pos order, so the
         moves are applied in (column, pos) order, each only where its take is
-        positive, as `_walk` yields it.  Weighted costs loop over `solve`.
+        positive, as `_walk` yields it.  Weighted costs and a single row
+        loop over `solve`.
         """
         D = np.atleast_2d(np.asarray(D, dtype=float))
         budgets = np.asarray(budgets, dtype=float)
         if np.any(budgets < 0):
             raise ValueError(f"budget must be non-negative, got {budgets.min()}")
-        if self.weights is not None:
+        if self.weights is not None or len(D) == 1:
             return np.array([self.solve(d, b).matrix for d, b in zip(D, budgets)])
         m = np.repeat(self.m0[None], len(D), axis=0)
         _, _, col, donor, recipient, factor = self._flat_segments()

@@ -175,6 +175,13 @@ class TestCli:
         code = main(["oracle", "--instance", sep, "--grid", "0.025"])
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["solve-welfare", "solve-maximin"])
+    def test_tiny_epsilon_exit_3(self, capsys, contrast_file, command):
+        # The cell cap refuses before any budget grid is allocated.
+        code = main([command, "--instance", contrast_file, "--epsilon", "1e-300"])
+        assert code == 3
+        assert "refused" in capsys.readouterr().err
+
     def test_gen_cover_reduction(self, capsys, tmp_path):
         graph = tmp_path / "triangle.txt"
         graph.write_text("0 1\n0 2\n1 2\n")

@@ -107,8 +107,8 @@ class TestReportAndCaps:
 
     def test_per_layer_profile_counts_every_build_step(self):
         # The build keeps each winner's matrix, so beyond the priced pairs a
-        # solve makes only the query's steps: one scan of the first layer,
-        # then one step per deeper layer.
+        # solve makes only the query's steps: one per first-layer candidate
+        # at the full budget, then one per deeper layer.
         inst = po.random_instance(38, 2, 4, 1.0, 1.0)
         dp = po.MaximinDP(inst, 0.5)
         profile = dp.meta()["profile"]
@@ -116,8 +116,8 @@ class TestReportAndCaps:
         built = sum(dp.step_calls.values())
         assert built == sum(p["priced_pairs"] for p in profile.values())
         dp.solve()
-        first_scan = len(dp._candidates[0])
-        assert sum(dp.step_calls.values()) == built + first_scan + inst.depth - 2
+        first_layer = len(dp._candidates[0])
+        assert sum(dp.step_calls.values()) == built + first_layer + inst.depth - 2
 
     def test_population_tuple_counts(self):
         # Every layer tracks the multisets of `width` net points, and the

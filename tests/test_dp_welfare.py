@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import pipeopt as po
+from pipeopt import dp_welfare
 from pipeopt.errors import CapacityError
+from pipeopt.layerlp import WelfareStepSolver, solve_maximin_step
 from pipeopt.oracle import GridPlanTable
 
 rng = np.random.default_rng(77)
@@ -142,6 +144,33 @@ class TestReportAndCaps:
         with pytest.raises(ValueError):
             po.solve_social_welfare(inst, 0.0)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("dp", [po.WelfareDP, po.MaximinDP])
+    def test_non_finite_epsilon_named(self, dp, eps):
+        inst = po.random_instance(23, 2, 3, 1.0, 1.0)
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            dp(inst, eps)
+
+    @pytest.mark.parametrize("dp", [po.WelfareDP, po.MaximinDP])
+    def test_cells_cap_checked_before_budget_grid(self, dp, monkeypatch):
+        # The refusal needs only the grid's size, never the grid itself.
+        def no_grid(*args):
+            raise AssertionError("budget grid built before the cell cap check")
+
+        monkeypatch.setattr(dp_welfare, "build_budget_grid", no_grid)
+        inst = po.random_instance(22, 3, 4, 1.0, 1.0)
+        with pytest.raises(CapacityError):
+            dp(inst, 1e-7)
+
+    @pytest.mark.parametrize("d1", [
+        [float("nan"), 1.0], [float("inf"), 0.0], [2.0, -1.0],
+        [0.5, 0.25, 0.25], [[0.5, 0.5]], 1.0,
+    ], ids=["nan", "inf", "negative", "too-long", "2-d", "scalar"])
+    def test_solve_for_refuses_bad_start(self, d1):
+        dp = po.WelfareDP(po.random_instance(23, 2, 3, 1.0, 1.0), 0.25)
+        with pytest.raises(ValueError, match="d1"):
+            dp.solve_for(d1)
+
 
 def _weighted(inst, seed):
     """`inst` with random per-edge cost weights in [0.5, 2]."""
@@ -154,8 +183,41 @@ def _weighted(inst, seed):
     )
 
 
+def reference_scan(dp, t, a_in, bi, solvers):
+    """One cell priced candidate by candidate with the scalar step solvers.
+
+    Returns (value, winning candidate index, its matrix); the first strict
+    `>` in candidate order wins.  `solvers` caches welfare step solvers per
+    continuation.
+    """
+    inst = dp.instance
+    m0, mask = inst.initial_matrices[t], inst.malleable[t]
+    weights = inst.cost_model.layer_weights(t)
+    best = (-np.inf, -1, None)
+    for c, (b_next, key, _, r_out) in enumerate(dp._candidates[t]):
+        if b_next > bi:
+            break
+        budget = dp.grid.value(bi) - dp.grid.value(b_next)
+        if isinstance(dp, po.MaximinDP):
+            res = solve_maximin_step(r_out, a_in, m0, mask, budget, weights,
+                                     polish=False)
+            value, matrix = res.objective, res.matrix
+        else:
+            if (t, key) not in solvers:
+                solvers[t, key] = WelfareStepSolver(r_out, m0, mask, weights)
+            value, matrix = solvers[t, key].value(a_in[0], budget), None
+        if value > best[0]:
+            best = (value, c, matrix)
+    value, c, matrix = best
+    if matrix is None:
+        b_next, key, _, _ = dp._candidates[t][c]
+        budget = dp.grid.value(bi) - dp.grid.value(b_next)
+        matrix = solvers[t, key].solve(a_in[0], budget).matrix
+    return value, c, matrix
+
+
 class TestBlockBuild:
-    """Every built cell against the scalar scan that queries still use."""
+    """Every built cell, and the query, against a per-cell scalar scan."""
 
     @pytest.mark.parametrize("make", [
         lambda: po.WelfareDP(po.random_instance(31, 3, 4, 1.0, 1.0), 0.3),
@@ -174,18 +236,32 @@ class TestBlockBuild:
     def test_cells_match_scalar_scan(self, make):
         dp = make()
         g = len(dp.grid)
+        solvers = {}
         for t, rvec in dp._rvec.items():
             table = dp._table[t]
             assert len(rvec) == len(table) * g
             for cell in range(len(rvec)):
                 row, bi = divmod(cell, g)
                 a_in = dp.nets[t].points[table[row]]
-                _, c, _ = dp._scan(t, a_in, bi)
+                _, c, m = reference_scan(dp, t, a_in, bi, solvers)
                 assert c == dp._choice[t][cell]
-                b_next, key, _, r_out = dp._candidates[t][c]
-                m = dp._solve(t, key, r_out, a_in,
-                              dp.grid.value(bi) - dp.grid.value(b_next))
-                assert np.array_equal(rvec[cell], r_out @ m)
+                assert np.array_equal(rvec[cell], dp._candidates[t][c][3] @ m)
+        # A query prices its first-layer cell at the top budget index.
+        if isinstance(dp, po.MaximinDP):
+            starts = [np.eye(dp.pops)]
+            queries = [dp.solve()]
+        else:
+            w = dp.instance.layer_sizes[0]
+            zeros = np.zeros(w)
+            zeros[-1] = 1.0
+            starts = [row[None, :] for row in (
+                np.full(w, 1.0 / w), np.random.default_rng(w).dirichlet(np.ones(w)),
+                zeros)]
+            queries = [dp.solve_for(a[0]) for a in starts]
+        for a_in, (value, plan) in zip(starts, queries):
+            ref_value, _, ref_matrix = reference_scan(dp, 0, a_in, g - 1, solvers)
+            assert value == ref_value
+            assert np.array_equal(plan.matrices[0], ref_matrix)
 
 
 class TestWeightedCosts:

@@ -170,6 +170,16 @@ class TestDoubleOracle:
         assert po.mixed_violations(inst, mixture) == []
 
 
+class TestEpsilonRefused:
+    @pytest.mark.parametrize("name", ["epsilon", "br_epsilon"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    def test_non_finite_or_non_positive(self, name, value):
+        inst = po.fairness_price_instance(2, 0.1, 1.0)
+        kwargs = {"epsilon": 0.1, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+            po.solve_exante_maximin(inst, **kwargs)
+
+
 class TestBrEpsilonCoarsened:
     def test_workload_instance_reports_counts(self):
         inst = po.random_instance(3000, 3, 3, 1.0, 1.0)

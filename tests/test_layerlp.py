@@ -292,9 +292,10 @@ class TestBlockGreedy:
     @example(_block_case([1.0, 0.5, 0.0], [[0.2, 0.5, 0.1], [0.3, 0.2, 0.4],
                                            [0.5, 0.3, 0.5]],
                          [[0.6, 0.0, 0.4], [0.0, 1.0, 0.0]], [0.3, 1.1]))
-    # Budget 0.
+    # Budget 0.  This and the cap example below use two pairs: a single
+    # pair goes to the scalar walk, not the numpy one.
     @example(_block_case([1.0, 0.0], [[0.3, 0.6], [0.7, 0.4]],
-                         [[0.5, 0.5]], [0.0]))
+                         [[0.5, 0.5], [0.2, 0.8]], [0.0]))
     # A budget that saturates every segment.
     @example(_block_case([1.0, 0.4, 0.0], [[0.1, 0.2], [0.3, 0.3], [0.6, 0.5]],
                          [[0.3, 0.7], [0.9, 0.1]], [10.0]))
@@ -302,7 +303,8 @@ class TestBlockGreedy:
     @example(_block_case([1.0, 0.0], [[0.2, 0.2], [0.8, 0.8]],
                          [[0.5, 0.5]], [0.4, 1.6, 3.2]))
     # A column summing to 1 + ulp moved whole hits the cap at 1.
-    @example(_block_case([1.0, 0.0, 0.0, 0.0], PLUS_ULP_COLUMN, [[1.0]], [2.0]))
+    @example(_block_case([1.0, 0.0, 0.0, 0.0], PLUS_ULP_COLUMN, [[1.0]],
+                         [2.0, 3.0]))
     # A solver with no segments.
     @example(_block_case([0.7], [[1.0, 1.0]], [[0.4, 0.6]], [0.0, 1.0]))
     def test_blocks_equal_scalar(self, case):
