@@ -40,16 +40,12 @@ class MaximinDP(BackwardDP):
         super().__init__(instance, epsilon, cells_cap)
 
     def _step(self, t: int, r_out, a_in, budget: float):
-        # The polish pass only reshuffles ties among optimal matrices; one
-        # consistent choice everywhere keeps the memo and the reconstructed
-        # plan aligned, so it stays off inside the DP.
         res = solve_maximin_step(
             r_out, a_in,
             self.instance.initial_matrices[t],
             self.instance.malleable[t],
             budget,
             self.instance.cost_model.layer_weights(t),
-            polish=False,
         )
         self.step_calls[res.path] += 1
         return res

@@ -112,7 +112,13 @@ def parse_edge_list(text: str) -> list:
         parts = body.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(
+                f"line {lineno}: vertex ids must be integers, got {line!r}") from None
+        if u < 0 or v < 0:
+            raise ValueError(f"line {lineno}: negative vertex id in {line!r}")
         if u == v:
             raise ValueError(f"line {lineno}: self-loop {u}")
         edges.append((u, v))
@@ -137,6 +143,8 @@ def cover_reduction_instance(edges, cover_size: int, step: float, chain_length: 
     edges = [(int(u), int(v)) for u, v in edges]
     if not edges:
         raise ValueError("graph has no edges")
+    if min(min(u, v) for u, v in edges) < 0:
+        raise ValueError("vertex ids must be non-negative")
     if not (0 < step < 0.5):
         raise ValueError(f"step must lie in (0, 0.5), got {step}")
     if cover_size < 1:

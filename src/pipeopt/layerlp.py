@@ -11,23 +11,24 @@ With unit costs the welfare step is solved by an exact greedy rather than
 a generic LP solver: any feasible matrix decomposes into donor->recipient
 mass moves inside columns, each unit of budget spent on a move has a fixed
 gain rate, and donor capacities are independent, so filling the best rates
-first is optimal (a fractional knapsack).  The greedy is a heap walk over
-per-column segment lists; `WelfareStepSolver.value_block`/`solve_block`
-replay the same walk for many (input, budget) pairs at once with numpy,
-bitwise equal to the walk; the welfare DP prices every step with them.
-The scalar walk serves the blocks of a single pair (a DP query's steps),
-the two-population maximin step, and the tests, as the reference the
-block forms are checked against.
+first is optimal (a fractional knapsack).  `WelfareStepSolver` builds every
+move segment once, as one flat table sorted by column and rate, and every
+reader walks that table: the scalar heap walk, the numpy replay of it in
+`value_block`/`solve_block` (many (input, budget) pairs at once, bitwise
+equal to the walk, which the welfare DP prices every step with), and the
+two-population maximin step.  The scalar walk serves the blocks of a single
+pair (a DP query's steps) and the tests, as the reference the block forms
+are checked against.
 
 The maximin step couples populations.  With two populations and unit costs
 it needs no LP: by the minimax theorem its value is the smallest welfare-step
 value over mixtures of the two population inputs, found exactly at a
 breakpoint of the greedy order, and the optimal matrix mixes the greedy
 matrices on either side of that breakpoint (`_two_population_step`).  With
-three or more populations, weighted costs, or the `polish` re-solve, it goes
-through an epigraph LP (HiGHS via scipy), which also serves as the reference
-that tests check the LP-free step against.  There is one LP assembler,
-`_epigraph_lp`: the weighted welfare step is its one-population case.
+three or more populations or weighted costs it solves one epigraph LP (HiGHS
+via scipy), which also serves as the reference that tests check the LP-free
+step against.  There is one LP assembler, `_epigraph_lp`: the weighted
+welfare step is its one-population case.
 """
 
 from __future__ import annotations
@@ -37,11 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-
-# LPs are solved to a looser tolerance than the model's 1e-9; matrices are
-# repaired columnwise before leaving this module.
-LP_TOL = 1e-7
-
 
 @dataclass
 class LayerStepResult:
@@ -58,7 +54,8 @@ class WelfareStepSolver:
     Construction cost depends only on (r_out, m0, mask, weights); `solve`
     and `value` can then be called for many (d_in, budget) pairs, which is
     what the dynamic programs do, and `value_block`/`solve_block` answer a
-    whole batch of pairs in one call.
+    whole batch of pairs in one call.  All of them read one segment table,
+    built here.
 
     Unit costs admit the greedy: every unit of budget moves half a unit of
     mass, so gain per budget and gain per mass rank moves identically and
@@ -82,67 +79,40 @@ class WelfareStepSolver:
         # Base column values r_out^T m0[:, u].
         self.col_base = self.r_out @ self.m0
         if self.weights is None:
-            # Per-column move segments sorted by decreasing gain rate.
-            # Scaling rates by d_in[u] preserves the within-column order, so
-            # the per-column sort is reusable across inputs.
-            self._segments = [
-                self._column_segments(u) for u in range(self.m0.shape[1])
-            ]
-            self._flat = None  # flattened segments, built on the first block call
-
-    def _column_segments(self, u):
-        """List of (rate, budget_capacity, donor, recipient) for column u."""
-        free = np.flatnonzero(self.mask[:, u])
-        if len(free) <= 1:
-            # A single malleable entry is pinned by the column-sum constraint.
-            return []
-        r = self.r_out
-        best = free[int(np.argmax(r[free]))]
-        segs = []
-        for v in free:
-            gain = r[best] - r[v]
-            if v == best or gain <= 0 or self.m0[v, u] <= 0:
-                continue
-            segs.append((gain / 2.0, 2.0 * self.m0[v, u], int(v), int(best)))
-        segs.sort(key=lambda s: (-s[0], s[2]))
-        return segs
+            # Every move segment, sorted by (column, decreasing rate, donor).
+            # Scaling rates by d_in[u] keeps the order within a column, so one
+            # table serves every input.  Each donor moves to its column's best
+            # malleable target; a lone malleable entry is that target itself.
+            r = self.r_out
+            best = np.argmax(np.where(self.mask, r[:, None], -np.inf), axis=0)
+            gain = r[best] - r[:, None]
+            donor, col = np.nonzero(self.mask & (gain > 0) & (self.m0 > 0))
+            rate = gain[donor, col] / 2.0
+            order = np.lexsort((donor, -rate, col))
+            self._rate, self._col, self._donor = rate[order], col[order], donor[order]
+            self._cap = 2.0 * self.m0[self._donor, self._col]
+            self._recipient = best[self._col]
+            # Column u's segments are _start[u]:_start[u + 1]; a list, as
+            # the heap walk reads it one offset at a time.
+            offsets = np.searchsorted(self._col, np.arange(self.m0.shape[1] + 1))
+            self._start = offsets.tolist()
 
     def _walk(self, d_in, budget):
-        """Yield (u, seg, budget_taken) in global greedy order."""
+        """Yield (column, segment index, budget_taken) in global greedy order."""
         if budget <= 0:
             return
-        heap = []
-        for u, segs in enumerate(self._segments):
-            if segs and d_in[u] > 0:
-                heap.append((-segs[0][0] * d_in[u], u, 0))
+        rate, cap, start = self._rate, self._cap, self._start
+        heap = [(-rate[start[u]] * d_in[u], u, start[u]) for u in range(len(start) - 1)
+                if start[u] < start[u + 1] and d_in[u] > 0]
         heapq.heapify(heap)
         remaining = budget
         while heap and remaining > 0:
-            neg_rate, u, pos = heapq.heappop(heap)
-            seg = self._segments[u][pos]
-            take = min(seg[1], remaining)
-            yield u, seg, take
+            _, u, s = heapq.heappop(heap)
+            take = min(cap[s], remaining)
+            yield u, s, take
             remaining -= take
-            if pos + 1 < len(self._segments[u]):
-                nxt = self._segments[u][pos + 1]
-                heapq.heappush(heap, (-nxt[0] * d_in[u], u, pos + 1))
-
-    def _flat_segments(self):
-        """Every segment as (rate, cap, column, donor, recipient, factor) arrays.
-
-        Segments are listed in (column, pos) order; `factor` is the budget
-        cost per unit of mass moved, computed as `solve` computes it.
-        """
-        if self._flat is None:
-            flat = [(seg[0], seg[1], u, seg[2], seg[3])
-                    for u, segs in enumerate(self._segments) for seg in segs]
-            rate = np.array([f[0] for f in flat], dtype=float)
-            cap = np.array([f[1] for f in flat], dtype=float)
-            col, donor, recipient = (np.array([f[i] for f in flat], dtype=np.int64)
-                                     for i in (2, 3, 4))
-            factor = cap / self.m0[donor, col]
-            self._flat = (rate, cap, col, donor, recipient, factor)
-        return self._flat
+            if s + 1 < start[u + 1]:
+                heapq.heappush(heap, (-rate[s + 1] * d_in[u], u, s + 1))
 
     def _block_walk(self, D, budgets):
         """Replay `_walk` for many inputs at once, one segment rank at a time.
@@ -151,20 +121,20 @@ class WelfareStepSolver:
         are (n,) arrays over the rows of D, which is (n, s); budgets
         broadcasts against (n,), and every take has the broadcast shape.
         Each row's segments are ranked by the heap's key (-rate * d[u], u,
-        pos): a stable sort of the negated effective rates over the (column,
-        pos) listing.  A column with d[u] == 0 never enters the heap, so it
-        gets zero capacity here.  Budget beyond the last segment, or after
+        index): a stable sort of the negated effective rates over the table.
+        A column with d[u] == 0 never enters the heap, so it gets zero
+        capacity here.  Budget beyond the last segment, or after
         the budget is spent, is taken as 0, which adds exactly nothing; so
         per (input, budget) every sum and move happens in the order `_walk`
         yields it, with the same operands.
         """
-        rate, cap, col = self._flat_segments()[:3]
-        eff = rate * D[:, col]
+        d = D[:, self._col]
+        eff = self._rate * d
         order = np.argsort(-eff, axis=1, kind="stable")
         eff = np.take_along_axis(eff, order, axis=1)
-        cap = np.take_along_axis(np.where(D[:, col] > 0, cap, 0.0), order, axis=1)
-        remaining = np.maximum(budgets, 0.0) + np.zeros(len(D))  # take shape
-        for rank in range(len(rate)):
+        cap = np.take_along_axis(np.where(d > 0, self._cap, 0.0), order, axis=1)
+        remaining = budgets + np.zeros(len(D))  # take shape
+        for rank in range(len(self._rate)):
             if not remaining.any():
                 return
             take = np.minimum(cap[:, rank], remaining)
@@ -180,6 +150,8 @@ class WelfareStepSolver:
         """
         D = np.atleast_2d(np.asarray(D, dtype=float))
         budgets = np.asarray(budgets, dtype=float)
+        if not np.all(budgets >= 0):
+            raise ValueError(f"budget must be non-negative, got {budgets.min()}")
         if self.weights is not None:
             return np.array([[self.value(d, b) for d in D] for b in budgets])
         if D.shape[0] * budgets.size == 1:
@@ -196,29 +168,28 @@ class WelfareStepSolver:
         """`solve(D[i], budgets[i]).matrix` for every row i, stacked (n, rows, cols).
 
         Bitwise equal to calling `solve` per row.  Moves touch only their own
-        column, and `_walk` visits a column's segments in pos order, so the
-        moves are applied in (column, pos) order, each only where its take is
+        column, and `_walk` visits a column's segments in table order, so
+        the moves are applied in table order, each only where its take is
         positive, as `_walk` yields it.  Weighted costs and a single row
         loop over `solve`.
         """
         D = np.atleast_2d(np.asarray(D, dtype=float))
         budgets = np.asarray(budgets, dtype=float)
-        if np.any(budgets < 0):
+        if not np.all(budgets >= 0):
             raise ValueError(f"budget must be non-negative, got {budgets.min()}")
         if self.weights is not None or len(D) == 1:
             return np.array([self.solve(d, b).matrix for d, b in zip(D, budgets)])
         m = np.repeat(self.m0[None], len(D), axis=0)
-        _, _, col, donor, recipient, factor = self._flat_segments()
-        takes = np.zeros((len(D), len(col)))
+        takes = np.zeros((len(D), len(self._col)))
         rows = np.arange(len(D))
         for _, seg, take in self._block_walk(D, budgets):
             takes[rows, seg] = take
-        for s in range(len(col)):
+        for s in range(len(self._col)):
             hit = np.flatnonzero(takes[:, s] > 0)
             if not len(hit):
                 continue
-            mass = takes[hit, s] / factor[s]
-            u, dv, rv = col[s], donor[s], recipient[s]
+            mass = takes[hit, s] / 2.0
+            u, dv, rv = self._col[s], self._donor[s], self._recipient[s]
             m[hit, dv, u] -= mass
             # The same cap at 1 as `solve`.
             m[hit, rv, u] = np.minimum(m[hit, rv, u] + mass, 1.0)
@@ -226,26 +197,27 @@ class WelfareStepSolver:
 
     def value(self, d_in, budget) -> float:
         """Optimal objective only; no matrix is materialized (unit costs)."""
+        if not budget >= 0:
+            raise ValueError(f"budget must be non-negative, got {budget}")
         d_in = np.asarray(d_in, dtype=float)
         if self.weights is not None:
             return self.solve(d_in, budget).objective
         obj = float(self.col_base @ d_in)
-        for u, seg, take in self._walk(d_in, budget):
-            obj += seg[0] * d_in[u] * take
+        for u, s, take in self._walk(d_in, budget):
+            obj += self._rate[s] * d_in[u] * take
         return obj
 
     def solve(self, d_in, budget) -> LayerStepResult:
         d_in = np.asarray(d_in, dtype=float)
-        if budget < 0:
+        if not budget >= 0:
             raise ValueError(f"budget must be non-negative, got {budget}")
         if self.weights is not None:
             return _epigraph_lp(self.r_out, d_in[None, :], self.m0, self.mask,
-                                budget, self.weights, polish=False)
+                                budget, self.weights)
         m = self.m0.copy()
-        for u, seg, take in self._walk(d_in, budget):
-            rate, cap, donor, recipient = seg
-            factor = cap / self.m0[donor, u]  # cost per unit of mass moved
-            mass = take / factor
+        for u, s, take in self._walk(d_in, budget):
+            mass = take / 2.0  # each unit of mass moved costs 2: out and in
+            donor, recipient = self._donor[s], self._recipient[s]
             m[donor, u] -= mass
             # Input columns may sum to 1 plus an ulp; moving a whole column
             # into one entry must not leave that entry above 1.
@@ -310,13 +282,11 @@ def _two_population_step(r_out, a_in, m0, mask, budget) -> LayerStepResult:
     """
     solver = WelfareStepSolver(r_out, m0, mask)
     a1, a2 = a_in
-    segs = [(seg[0], u) for u, col in enumerate(solver._segments) for seg in col]
-    rate = np.array([s[0] for s in segs])
-    col = np.array([s[1] for s in segs], dtype=np.int64)
+    rate, col = solver._rate, solver._col
     # Effective rate of segment s at lam: base[s] + lam * slope[s].
     base = rate * a2[col]
     slope = rate * (a1 - a2)[col]
-    i, j = np.triu_indices(len(segs), k=1)
+    i, j = np.triu_indices(len(rate), k=1)
     cross = (col[i] != col[j]) & (slope[i] != slope[j])
     i, j = i[cross], j[cross]
     lams = (base[j] - base[i]) / (slope[i] - slope[j])
@@ -351,136 +321,82 @@ def _two_population_step(r_out, a_in, m0, mask, budget) -> LayerStepResult:
     return LayerStepResult(matrix=m, objective=float(values.min()), path="dual")
 
 
-def solve_maximin_step(r_out, a_in, m0, mask, budget_step, cost_weights=None,
-                       polish: bool = True) -> LayerStepResult:
+def solve_maximin_step(r_out, a_in, m0, mask, budget_step, cost_weights=None) -> LayerStepResult:
     """Maximize min_j r_out^T M a_in[j] over feasible M.
 
     a_in is a (populations, source-layer-size) array of per-population input
-    distributions.  Two populations with unit costs and no `polish` take the
-    LP-free `_two_population_step`; everything else is the epigraph LP.  With
-    `polish` a second solve, at the optimal objective, maximizes the summed
-    population values among optima; this removes gratuitous reward damage
-    that an arbitrary optimal vertex might carry and keeps results
-    deterministic.
+    distributions.  Two populations with unit costs take the LP-free
+    `_two_population_step`; everything else is the epigraph LP.
     """
     r_out = np.asarray(r_out, dtype=float)
     a_in = np.atleast_2d(np.asarray(a_in, dtype=float))
     m0 = np.asarray(m0, dtype=float)
     mask = np.asarray(mask, dtype=bool)
-    if budget_step < 0:
+    if not budget_step >= 0:
         raise ValueError(f"budget must be non-negative, got {budget_step}")
     if a_in.shape[0] == 1:
         # min over one population is the welfare step.
         return solve_welfare_step(r_out, a_in[0], m0, mask, budget_step, cost_weights)
     # Without budget, or without a column of >= 2 malleable entries, nothing
     # can move; the epigraph LP returns m0 for those steps unsolved.
-    if (a_in.shape[0] == 2 and cost_weights is None and not polish
+    if (a_in.shape[0] == 2 and cost_weights is None
             and budget_step > 0 and mask.sum(axis=0).max() >= 2):
         return _two_population_step(r_out, a_in, m0, mask, budget_step)
     weights = None if cost_weights is None else np.asarray(cost_weights, dtype=float)
-    return _epigraph_lp(r_out, a_in, m0, mask, budget_step, weights, polish)
+    return _epigraph_lp(r_out, a_in, m0, mask, budget_step, weights)
 
 
-def _epigraph_lp(r_out, a_in, m0, mask, budget, weights, polish) -> LayerStepResult:
+def _epigraph_lp(r_out, a_in, m0, mask, budget, weights) -> LayerStepResult:
     """max v s.t. v <= r_out^T M a_in[j] for every population j, as an LP.
 
     Variables are the entries that can actually vary (malleable, in a column
-    with >= 2 malleable entries), their absolute changes, and v.  With one
-    population this is the welfare step, which is how weighted costs solve
-    it.  Steps with nothing to vary, or no budget, return m0 unsolved.
+    with >= 2 malleable entries), listed column by column, then their
+    absolute changes, then v.  With one population this is the welfare step,
+    which is how weighted costs solve it.  Steps with nothing to vary, or no
+    budget, return m0 unsolved.
     """
-    pops = a_in.shape[0]
-    col_free = [np.flatnonzero(mask[:, u]) for u in range(m0.shape[1])]
-    entries = [(int(v), u) for u in range(m0.shape[1]) if len(col_free[u]) >= 2
-               for v in col_free[u]]
-    n = len(entries)
-    if n == 0 or budget == 0:
+    movable = np.flatnonzero(mask.sum(axis=0) >= 2)
+    if budget == 0 or not len(movable):
         base_rewards = (r_out @ m0) @ a_in.T  # value per population if M = m0
         return LayerStepResult(matrix=m0.copy(), objective=float(base_rewards.min()),
                                path="initial")
 
-    ncols = m0.shape[1]
-    # coef[j, e] = r_out[v] * a_in[j, u] for entry e = (v, u)
-    coef = np.empty((pops, n))
-    w_e = np.empty(n)
-    m0_e = np.empty(n)
-    for e, (v, u) in enumerate(entries):
-        coef[:, e] = r_out[v] * a_in[:, u]
-        w_e[e] = 1.0 if weights is None else weights[v, u]
-        m0_e[e] = m0[v, u]
+    u_e, v_e = np.nonzero(mask[:, movable].T)
+    u_e = movable[u_e]
+    n, pops = len(v_e), a_in.shape[0]
+    m0_e = m0[v_e, u_e]
     # frozen_j: contribution of all non-variable entries.
     frozen = m0.copy()
-    for v, u in entries:
-        frozen[v, u] = 0.0
+    frozen[v_e, u_e] = 0.0
     frozen_j = (r_out @ frozen) @ a_in.T
 
-    nvar = 2 * n + 1  # x, a, v
-    iv = 2 * n
-    c = np.zeros(nvar)
-    c[iv] = -1.0
-    rows, rhs = [], []
-    for e in range(n):
-        row = np.zeros(nvar)
-        row[e], row[n + e] = 1.0, -1.0
-        rows.append(row)
-        rhs.append(m0_e[e])
-        row = np.zeros(nvar)
-        row[e], row[n + e] = -1.0, -1.0
-        rows.append(row)
-        rhs.append(-m0_e[e])
-    cost_row = np.zeros(nvar)
-    cost_row[n:2 * n] = w_e
-    rows.append(cost_row)
-    rhs.append(budget)
-    for j in range(pops):
-        row = np.zeros(nvar)
-        row[:n] = -coef[j]
-        row[iv] = 1.0
-        rows.append(row)
-        rhs.append(frozen_j[j])
-    a_ub = np.array(rows)
-    b_ub = np.array(rhs)
-
-    eq_rows, eq_rhs = [], []
-    for u in range(ncols):
-        if len(col_free[u]) < 2:
-            continue
-        row = np.zeros(nvar)
-        for e, (v, uu) in enumerate(entries):
-            if uu == u:
-                row[e] = 1.0
-        eq_rows.append(row)
-        eq_rhs.append(1.0 - m0[~mask[:, u], u].sum())
-    a_eq = np.array(eq_rows)
-    b_eq = np.array(eq_rhs)
+    # Rows: x_e - a_e <= m0_e and -x_e - a_e <= -m0_e per entry, interleaved;
+    # the budget on sum w_e a_e; then v - sum_e r_out[v] a_in[j, u] x_e <= frozen_j.
+    e = np.arange(n)
+    a_ub = np.zeros((2 * n + 1 + pops, 2 * n + 1))
+    a_ub[2 * e, e] = 1.0
+    a_ub[2 * e + 1, e] = -1.0
+    a_ub[2 * e, n + e] = -1.0
+    a_ub[2 * e + 1, n + e] = -1.0
+    a_ub[2 * n, n:2 * n] = 1.0 if weights is None else weights[v_e, u_e]
+    a_ub[2 * n + 1:, :n] = -(r_out[v_e] * a_in[:, u_e])
+    a_ub[2 * n + 1:, 2 * n] = 1.0
+    b_ub = np.concatenate([np.column_stack([m0_e, -m0_e]).ravel(), [budget], frozen_j])
+    # One column-sum row per movable column.  Each right-hand side sums that
+    # column's frozen entries as a 1-D sum; a masked 2-D sum can round
+    # differently and move the LP's optimum in the last bits.
+    a_eq = np.zeros((len(movable), 2 * n + 1))
+    a_eq[np.searchsorted(movable, u_e), e] = 1.0
+    b_eq = np.array([1.0 - m0[~mask[:, u], u].sum() for u in movable])
+    c = np.zeros(2 * n + 1)
+    c[2 * n] = -1.0
 
     bounds = [(0.0, 1.0)] * n + [(0.0, 2.0)] * n + [(None, None)]
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
                   method="highs")
     if res.status != 0:
         raise RuntimeError(f"step LP failed: {res.message}")
-    v_star = float(res.x[iv])
-    x = res.x[:n]
-
-    if polish:
-        # Re-solve at the optimal objective, maximizing total population value.
-        rows2 = [a_ub[r, : 2 * n] for r in range(2 * n + 1)]
-        rhs2 = list(b_ub[: 2 * n + 1])
-        for j in range(pops):
-            row = np.zeros(2 * n)
-            row[:n] = -coef[j]
-            rows2.append(row)
-            rhs2.append(frozen_j[j] - (v_star - 1e-9))
-        c2 = np.zeros(2 * n)
-        c2[:n] = -coef.sum(axis=0)
-        res2 = linprog(c2, A_ub=np.array(rows2), b_ub=np.array(rhs2),
-                       A_eq=a_eq[:, : 2 * n], b_eq=b_eq,
-                       bounds=[(0.0, 1.0)] * n + [(0.0, 2.0)] * n, method="highs")
-        if res2.status == 0:
-            x = res2.x[:n]
-
     m = m0.copy()
-    for e, (v, u) in enumerate(entries):
-        m[v, u] = x[e]
+    m[v_e, u_e] = res.x[:n]
     m = _repair_columns(m, m0, mask, weights, budget)
-    return LayerStepResult(matrix=m, objective=v_star, path="lp")
+    return LayerStepResult(matrix=m, objective=float(res.x[2 * n]), path="lp")

@@ -286,6 +286,16 @@ class TestInputRefusal:
         assert "not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_gen_negative_vertex_exits_2(self, capsys, tmp_path):
+        graph = tmp_path / "graph.txt"
+        graph.write_text("-1 0\n1 2\n")
+        out = tmp_path / "cover.json"
+        code = main(["gen", "--family", "cover-reduction", "--graph", str(graph),
+                     "--kappa", "2", "--h-eps", "0.25", "--out", str(out)])
+        assert code == 2
+        assert "line 1: negative vertex id" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["solve-welfare", "--epsilon", "0"],
         ["solve-maximin", "--epsilon", "-0.1"],

@@ -199,8 +199,7 @@ def reference_scan(dp, t, a_in, bi, solvers):
             break
         budget = dp.grid.value(bi) - dp.grid.value(b_next)
         if isinstance(dp, po.MaximinDP):
-            res = solve_maximin_step(r_out, a_in, m0, mask, budget, weights,
-                                     polish=False)
+            res = solve_maximin_step(r_out, a_in, m0, mask, budget, weights)
             value, matrix = res.objective, res.matrix
         else:
             if (t, key) not in solvers:

@@ -137,6 +137,15 @@ class TestCoverReduction:
         with pytest.raises(ValueError):
             po.parse_edge_list("1 2 3")
 
+    def test_bad_vertex_ids_refused(self):
+        # A negative id would index rows from the end and encode another edge.
+        with pytest.raises(ValueError, match="line 2: negative"):
+            po.parse_edge_list("0 1\n-1 0\n1 2\n")
+        with pytest.raises(ValueError, match="line 1: vertex ids must be integers"):
+            po.parse_edge_list("x 2\n")
+        with pytest.raises(ValueError, match="non-negative"):
+            po.cover_reduction_instance([(-1, 0), (1, 2)], 2, 0.25)
+
 
 class TestRandomFamily:
     def test_valid_and_reproducible(self):

@@ -8,6 +8,7 @@ from scipy.optimize import linprog
 import pipeopt as po
 from pipeopt.layerlp import (
     WelfareStepSolver,
+    _epigraph_lp,
     solve_maximin_step,
     solve_welfare_step,
 )
@@ -30,31 +31,44 @@ def random_step(width_out, width_in, mask_p=1.0, weighted=False):
     return r_out, d_in, m0, mask, weights
 
 
-def welfare_step_by_linprog(r_out, d_in, m0, mask, budget, weights=None):
-    """Reference solution via a generic LP solver (independent formulation)."""
+def welfare_step_by_linprog(r_out, a_in, m0, mask, budget, weights=None):
+    """Reference optimum via a generic LP solver (independent formulation).
+
+    a_in is one input distribution or a (populations, cols) stack; the LP
+    maximizes the worst population's value over every matrix entry, with
+    frozen entries pinned by their bounds, so one input is the welfare step.
+    """
+    a_in = np.atleast_2d(a_in)
     rows, cols = m0.shape
     n = rows * cols
-    # Variables: all entries x, then auxiliary |x - m0| bounds a.
-    c = np.zeros(2 * n)
-    c[:n] = -np.outer(r_out, d_in).ravel()
+    # Variables: all entries x, auxiliary |x - m0| bounds a, then the value v.
+    c = np.zeros(2 * n + 1)
+    c[-1] = -1
     a_ub, b_ub = [], []
     w = np.ones_like(m0) if weights is None else weights
     for e in range(n):
-        row = np.zeros(2 * n)
+        row = np.zeros(2 * n + 1)
         row[e], row[n + e] = 1, -1
         a_ub.append(row)
         b_ub.append(m0.ravel()[e])
-        row = np.zeros(2 * n)
+        row = np.zeros(2 * n + 1)
         row[e], row[n + e] = -1, -1
         a_ub.append(row)
         b_ub.append(-m0.ravel()[e])
-    cost = np.zeros(2 * n)
-    cost[n:] = w.ravel()
+    cost = np.zeros(2 * n + 1)
+    cost[n:2 * n] = w.ravel()
     a_ub.append(cost)
     b_ub.append(budget)
+    for d_in in a_in:
+        # v <= r_out^T M d_in
+        row = np.zeros(2 * n + 1)
+        row[:n] = -np.outer(r_out, d_in).ravel()
+        row[-1] = 1
+        a_ub.append(row)
+        b_ub.append(0.0)
     a_eq, b_eq = [], []
     for u in range(cols):
-        row = np.zeros(2 * n)
+        row = np.zeros(2 * n + 1)
         for v in range(rows):
             row[v * cols + u] = 1
         a_eq.append(row)
@@ -66,7 +80,7 @@ def welfare_step_by_linprog(r_out, d_in, m0, mask, budget, weights=None):
             bounds.append((m0.ravel()[e], m0.ravel()[e]))
         else:
             bounds.append((0.0, 1.0))
-    bounds += [(0.0, 2.0)] * n
+    bounds += [(0.0, 2.0)] * n + [(None, None)]
     res = linprog(c, A_ub=np.array(a_ub), b_ub=np.array(b_ub),
                   A_eq=np.array(a_eq), b_eq=np.array(b_eq), bounds=bounds,
                   method="highs")
@@ -222,6 +236,51 @@ class TestMaximinStep:
         ]
         assert all(b >= a - 1e-7 for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("mask_p", [1.0, 0.6])
+    def test_matches_reference_lp(self, weighted, mask_p):
+        # Three or four populations solve the epigraph LP, which must equal
+        # the independent formulation across shapes, masks and weights.
+        for trial in range(25):
+            rows = int(rng.integers(2, 5))
+            cols = int(rng.integers(1, 5))
+            r_out, _, m0, mask, weights = random_step(rows, cols, mask_p, weighted)
+            a_in = rng.dirichlet(np.ones(cols), size=int(rng.integers(3, 5)))
+            budget = float(rng.uniform(0, 2.5))
+            res = solve_maximin_step(r_out, a_in, m0, mask, budget, weights)
+            ref = welfare_step_by_linprog(r_out, a_in, m0, mask, budget, weights)
+            assert res.objective == pytest.approx(ref, abs=1e-7)
+
+
+class TestBudgetRefusal:
+    """Every step entry point refuses a NaN or negative budget by name."""
+
+    r_out = np.array([1.0, 0.0])
+    m0 = np.array([[0.3, 0.6], [0.7, 0.4]])
+    mask = np.ones((2, 2), dtype=bool)
+    d_in = np.array([0.5, 0.5])
+
+    @pytest.mark.parametrize("budget", [float("nan"), -0.1], ids=["nan", "negative"])
+    @pytest.mark.parametrize("call", [
+        "value", "value_block", "solve", "solve_block", "solve_welfare_step",
+        "solve_maximin_step",
+    ])
+    def test_refused(self, call, budget):
+        solver = WelfareStepSolver(self.r_out, self.m0, self.mask)
+        # The block forms get two pairs, so they take the numpy walk.
+        calls = {
+            "value": lambda: solver.value(self.d_in, budget),
+            "value_block": lambda: solver.value_block(self.d_in, [0.5, budget]),
+            "solve": lambda: solver.solve(self.d_in, budget),
+            "solve_block": lambda: solver.solve_block(np.eye(2), [0.5, budget]),
+            "solve_welfare_step": lambda: solve_welfare_step(
+                self.r_out, self.d_in, self.m0, self.mask, budget),
+            "solve_maximin_step": lambda: solve_maximin_step(
+                self.r_out, np.eye(2), self.m0, self.mask, budget),
+        }
+        with pytest.raises(ValueError, match="budget"):
+            calls[call]()
+
 
 def _counts(draw, shape):
     """Non-negative weights: integers 0..4, which make ties likely, or floats."""
@@ -341,8 +400,8 @@ class TestTwoPopulationDualStep:
               np.ones((4, 2), dtype=bool), 2.5))
     def test_matches_lp_and_is_feasible(self, step):
         r_out, a_in, m0, mask, budget = step
-        res = solve_maximin_step(r_out, a_in, m0, mask, budget, polish=False)
-        ref = solve_maximin_step(r_out, a_in, m0, mask, budget, polish=True)
+        res = solve_maximin_step(r_out, a_in, m0, mask, budget)
+        ref = _epigraph_lp(r_out, a_in, m0, mask, budget, None)
         assert res.path in ("dual", "initial")
         assert ref.path in ("lp", "initial")
         assert res.objective == pytest.approx(ref.objective, abs=1e-7)
@@ -356,8 +415,7 @@ class TestTwoPopulationDualStep:
         assert res.objective == float(((r_out @ m) @ a_in.T).min())
         # Swapping the populations leaves the value alone: the claim behind
         # BackwardDP's multiset table.
-        swapped = solve_maximin_step(r_out, a_in[::-1], m0, mask, budget,
-                                     polish=False)
+        swapped = solve_maximin_step(r_out, a_in[::-1], m0, mask, budget)
         assert swapped.objective == pytest.approx(res.objective, abs=1e-12)
 
     def test_even_split_needs_mixing(self):
@@ -366,7 +424,7 @@ class TestTwoPopulationDualStep:
         r_out = np.array([1.0, 0.0])
         m0 = np.array([[0.0, 0.0], [1.0, 1.0]])
         mask = np.ones_like(m0, dtype=bool)
-        res = solve_maximin_step(r_out, np.eye(2), m0, mask, 1.0, polish=False)
+        res = solve_maximin_step(r_out, np.eye(2), m0, mask, 1.0)
         assert res.path == "dual"
         assert res.objective == pytest.approx(0.25, abs=1e-15)
         np.testing.assert_allclose(res.matrix[0], [0.25, 0.25], atol=1e-15)
@@ -380,8 +438,8 @@ class TestTwoPopulationDualStep:
         m0 = np.array([[0.2, 0.2], [0.3, 0.3], [0.5, 0.5]])
         mask = np.ones_like(m0, dtype=bool)
         a_in = np.array([[0.9, 0.1], [0.3, 0.7]])
-        res = solve_maximin_step(r_out, a_in, m0, mask, budget, polish=False)
-        ref = solve_maximin_step(r_out, a_in, m0, mask, budget)
+        res = solve_maximin_step(r_out, a_in, m0, mask, budget)
+        ref = _epigraph_lp(r_out, a_in, m0, mask, budget, None)
         assert res.objective == pytest.approx(ref.objective, abs=1e-9)
 
     @pytest.mark.parametrize("budget", [0.3, 0.6])
@@ -396,16 +454,15 @@ class TestTwoPopulationDualStep:
                          [True, True, False],
                          [False, True, False]])
         a_in = np.eye(3)[:2]
-        res = solve_maximin_step(r_out, a_in, m0, mask, budget, polish=False)
+        res = solve_maximin_step(r_out, a_in, m0, mask, budget)
         assert res.path == "dual"
         np.testing.assert_array_equal(res.matrix[~mask], m0[~mask])
-        ref = solve_maximin_step(r_out, a_in, m0, mask, budget)
+        ref = _epigraph_lp(r_out, a_in, m0, mask, budget, None)
         assert res.objective == pytest.approx(ref.objective, abs=1e-9)
 
     def test_weighted_costs_keep_the_lp(self):
         r_out, _, m0, mask, weights = random_step(3, 2, weighted=True)
-        res = solve_maximin_step(r_out, np.eye(2), m0, mask, 0.5, weights,
-                                 polish=False)
+        res = solve_maximin_step(r_out, np.eye(2), m0, mask, 0.5, weights)
         assert res.path == "lp"
 
 
