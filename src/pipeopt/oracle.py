@@ -10,9 +10,10 @@ independent check.  The one piece lent the other way is the mixture LP,
 
 Intended envelope: width <= 3, depth <= 4, eta coarse enough that the joint
 enumeration stays under the cap (10^7 plans by default; the cap is a
-parameter).  Small tables are materialized outright; larger ones keep the
-suffix layers materialized and stream the first layer through a reduction,
-which bounds memory at a few hundred MB around the cap.
+parameter).  A table combines every transition after the first into a
+cost-sorted suffix and streams the first transition through the reductions
+in blocks of about _BLOCK_ROWS plans, so memory is the suffix plus one block:
+a small table is a single block, reduced in one numpy pass.
 """
 
 from __future__ import annotations
@@ -26,10 +27,12 @@ from .errors import CapacityError
 from .model import Instance, InterventionPlan, MixedPlan
 
 ORACLE_CAP = 10_000_000
-# Tables of at most this many plans are materialized; read at construction.
-DENSE_ROWS = 2_000_000
+# Plans per streamed block of the first transition: small tables are one
+# numpy pass, large ones hold the suffix plus one block in memory.
+_BLOCK_ROWS = 1 << 16
+# The ex-ante oracle re-prunes its pooled Pareto rows past this many.
+_POOL_ROWS = 100_000
 _SNAP = 1e-9
-_CHUNK = 512
 
 
 def _column_options(m0col, maskcol, eta, max_units, cap):
@@ -114,14 +117,16 @@ def _joint_count(cost_arrays, max_units):
 class GridPlanTable:
     """Exhaustive table of feasible grid plans with per-population values.
 
-    Suffix layers (everything after the first transition) are always fully
-    combined; the first transition is either folded in (dense mode, at most
-    DENSE_ROWS plans) or streamed through reductions (larger tables).
+    Every transition after the first is combined once into the suffix table,
+    kept sorted by cost; a single transition has the empty suffix, one row
+    holding the rewards at 0 units.  The first transition is streamed in
+    blocks (`blocks`), so a plan is named by (suffix row, first choice).
+    Rows run by first choice, then by suffix cost (a stable sort).
     """
 
     def __init__(self, instance: Instance, eta: float, cap: int = ORACLE_CAP):
-        if eta <= 0:
-            raise ValueError(f"eta must be positive, got {eta}")
+        if not (math.isfinite(eta) and eta > 0):
+            raise ValueError(f"eta must be finite and positive, got {eta}")
         if instance.cost_model.kind != "l1":
             # Enumeration bookkeeping is exact integer multiples of eta,
             # which only prices unit costs.
@@ -143,194 +148,121 @@ class GridPlanTable:
             raise CapacityError(
                 f"grid oracle would enumerate {self.total_plans:.3g} plans (cap {cap})"
             )
-        # Backward sweep over layers k-2 .. 1 (0-based matrix indices):
-        # rows hold value vectors r^T M_{k-1} ... M_{t}.
-        mats, costs = self.layers[k1 - 1]
-        values = mats.transpose(0, 2, 1) @ instance.rewards
-        units = costs.copy()
+        # Backward sweep over transitions k-2 .. 1 (0-based matrix indices),
+        # from the empty suffix: rows hold value vectors r^T M_{k-2} ... M_t,
+        # sorted by cost (a stable sort), so each candidate of the transition
+        # before can afford a prefix.  The 0-unit row keeps every prefix
+        # non-empty.
+        self._suffix_values = instance.rewards[None, :]
+        self._suffix_units = np.zeros(1, dtype=np.int64)
         self._stages = [None] * k1
-        self._stages[k1 - 1] = (np.zeros(len(mats), dtype=np.int64),
-                                np.arange(len(mats), dtype=np.int64))
-        for t in range(k1 - 2, 0, -1):
-            values, units = self._combine(t, values, units, cap)
-        self.suffix_values = values  # (rows, layer_sizes[1]) for k1 > 1
-        self.suffix_units = units
-        self.dense = self.total_plans <= DENSE_ROWS
-        if self.dense:
-            if k1 > 1:
-                values, units = self._combine(0, values, units, cap)
-            self.values = values
-            self.units = units
-        else:
-            self.values = None
-            self.units = None
-            # Sorting the suffix by cost makes each first-layer candidate's
-            # feasible set a prefix, so the stream touches only feasible
-            # combinations.
-            order = np.argsort(self.suffix_units, kind="stable")
-            self._suffix_order = order
-            self._sorted_units = self.suffix_units[order]
-            self._sorted_values = self.suffix_values[order]
-
-    def _combine(self, t, values, units, cap):
-        mats, costs = self.layers[t]
-        new_vals, new_units, parents, choices = [], [], [], []
-        total = 0
-        for j in range(len(mats)):
-            keep = np.flatnonzero(units + costs[j] <= self.max_units)
-            if len(keep) == 0:
-                continue
-            total += len(keep)
-            if total > cap:
+        for t in range(k1 - 1, 0, -1):
+            ends = self._ends(t)
+            if ends.sum() > cap:
                 raise CapacityError(f"grid oracle exceeded cap {cap}")
-            new_vals.append(values[keep] @ mats[j])
-            new_units.append(units[keep] + costs[j])
-            parents.append(keep)
-            choices.append(np.full(len(keep), j, dtype=np.int64))
-        self._stages[t] = (np.concatenate(parents), np.concatenate(choices))
-        return np.concatenate(new_vals), np.concatenate(new_units)
+            vals, key = self._block(t, 0, ends)
+            parents, choices, units = self.lookup(key, np.arange(len(vals)))
+            order = np.argsort(units, kind="stable")
+            self._stages[t] = (parents[order], choices[order])
+            self._suffix_values = vals[order]
+            self._suffix_units = units[order]
 
     def __len__(self):
         return int(self.total_plans)
 
-    # -- streaming over the first transition --------------------------------
+    def _ends(self, t):
+        """Suffix prefix each candidate of transition t can afford."""
+        costs = self.layers[t][1]
+        return np.searchsorted(self._suffix_units, self.max_units - costs, side="right")
 
-    def stream_by_choice(self):
-        """Yield (first_choice j, value rows (L, s1), suffix row ids, units).
+    def blocks(self):
+        """Yield (values (n, s0), key) for each block of the first transition.
 
-        Rows cover exactly the feasible suffixes for that first-layer
-        candidate (a prefix of the cost-sorted suffix table).
+        A block holds the feasible plans of a run of consecutive first-layer
+        candidates, about _BLOCK_ROWS rows in all; one candidate larger than
+        that is a block of its own.  `lookup(key, idx)` names the block's
+        rows idx.
         """
-        if len(self.layers) == 1:
-            yield (None, self.suffix_values,
-                   np.arange(len(self.suffix_values)), self.suffix_units)
-            return
-        mats, costs0 = self.layers[0]
-        for j in range(len(mats)):
-            n = int(np.searchsorted(self._sorted_units,
-                                    self.max_units - costs0[j], side="right"))
-            if n == 0:
-                continue
-            vals = self._sorted_values[:n] @ mats[j]
-            yield j, vals, self._suffix_order[:n], self._sorted_units[:n] + costs0[j]
+        ends = self._ends(0)
+        lo = rows = 0
+        for j, n in enumerate(ends.tolist()):
+            if rows and rows + n > _BLOCK_ROWS:
+                yield self._block(0, lo, ends[lo:j])
+                lo, rows = j, 0
+            rows += n
+        yield self._block(0, lo, ends[lo:])
+
+    def _block(self, t, lo, ends):
+        """Values of transition t's candidates lo, lo+1, ... over the suffix
+        prefixes `ends`, with the key `lookup` reads."""
+        mats = self.layers[t][0]
+        starts = np.cumsum(ends) - ends
+        vals = np.empty((int(ends.sum()), mats.shape[2]))
+        for j, at, n in zip(range(lo, lo + len(ends)), starts.tolist(), ends.tolist()):
+            np.matmul(self._suffix_values[:n], mats[j], out=vals[at:at + n])
+        return vals, (t, lo, starts)
+
+    def lookup(self, key, idx):
+        """(suffix rows, choices, units) of the rows idx of a block."""
+        t, lo, starts = key
+        k = np.searchsorted(starts, idx, side="right") - 1
+        rows = idx - starts[k]
+        choices = lo + k
+        return rows, choices, self._suffix_units[rows] + self.layers[t][1][choices]
 
     def reduce_best(self, score_fn, tie_fn):
-        """Deterministic argmax over all feasible plans without materializing.
+        """Deterministic argmax over all feasible plans, one block at a time.
 
-        score_fn maps an (n, s1) value block to n primary scores; tie_fn
-        likewise for the secondary criterion.  Returns
+        score_fn maps an (n, s0) value block to n primary scores; tie_fn
+        likewise for the secondary criterion.  Ties go to the higher
+        secondary score, then fewer units, then the earlier row.  Returns
         (score, (suffix_row, first_choice)).
         """
-        best = None
-        best_id = None
-        for j, vals, rows, units in self.stream_by_choice():
+        best = best_id = None
+        for vals, key in self.blocks():
             primary = score_fn(vals)
             cand = float(primary.max())
             if best is not None and cand < best[0]:
                 continue
             tied = np.flatnonzero(primary == cand)
-            sec_vals = tie_fn(vals[tied])
+            # Scored over the whole block: numpy takes a one-row product
+            # through dot, not gemv, which can round differently.
+            sec_vals = tie_fn(vals)[tied]
             tied = tied[sec_vals == sec_vals.max()]
-            u = units[tied]
-            tied = tied[u == u.min()]
-            key = (cand, float(sec_vals.max()), -float(u.min()))
-            if best is None or key > best:
-                best = key
-                best_id = (int(rows[tied[0]]), None if j is None else int(j))
-        if best is None:
-            raise RuntimeError("no feasible plan (budget grid empty?)")
+            rows, first, units = self.lookup(key, tied)
+            i = int(np.argmin(units))
+            rank = (cand, float(sec_vals.max()), -float(units[i]))
+            if best is None or rank > best:
+                best = rank
+                best_id = (int(rows[i]), int(first[i]))
         return best[0], best_id
 
-    # -- dense accessors ------------------------------------------------------
-
-    def _require_dense(self):
-        if not self.dense:
-            raise CapacityError(
-                "table too large to materialize; use the streaming reductions"
-            )
-
-    def layer_units(self) -> np.ndarray:
-        """(rows, layers) per-layer cost units, gathered through the stages."""
-        self._require_dense()
-        rows = len(self.values)
-        out = np.zeros((rows, len(self.layers)), dtype=np.int64)
-        idx = np.arange(rows, dtype=np.int64)
-        for t in range(len(self.layers)):
-            parents, choices = self._stages[t]
-            out[:, t] = self.layers[t][1][choices[idx]]
-            idx = parents[idx]
-        return out
-
-    def welfare_scores(self, d1=None) -> np.ndarray:
-        self._require_dense()
-        d = self.instance.initial_distribution if d1 is None else np.asarray(d1, float)
-        return self.values @ d
-
-    def maximin_scores(self) -> np.ndarray:
-        self._require_dense()
-        return self.values.min(axis=1)
-
-    # -- plan reconstruction --------------------------------------------------
-
-    def plan_for(self, row: int) -> InterventionPlan:
-        """Plan for a dense-table row index."""
-        self._require_dense()
-        choices = []
-        idx = int(row)
-        for t in range(len(self.layers)):
-            parents, ch = self._stages[t]
-            choices.append(int(ch[idx]))
-            idx = int(parents[idx])
-        return self._plan_from_choices(choices)
-
-    def plan_for_stream(self, ident) -> InterventionPlan:
-        """Plan for a streaming identifier (suffix_row, first_choice)."""
-        suffix_row, first = ident
-        choices = []
+    def plan_for(self, suffix_row: int, first: int) -> InterventionPlan:
+        """Plan for the row (suffix_row, first_choice) of the table."""
+        choices = [int(first)]
         idx = int(suffix_row)
-        if len(self.layers) == 1:
-            parents, ch = self._stages[0]
-            return self._plan_from_choices([int(ch[idx])])
-        choices.append(int(first))
-        for t in range(1, len(self.layers)):
-            parents, ch = self._stages[t]
+        for parents, ch in self._stages[1:]:
             choices.append(int(ch[idx]))
             idx = int(parents[idx])
-        return self._plan_from_choices(choices)
-
-    def _plan_from_choices(self, choices) -> InterventionPlan:
         mats, split = [], []
-        for t, j in enumerate(choices):
-            cand_mats, cand_costs = self.layers[t]
+        for (cand_mats, cand_costs), j in zip(self.layers, choices):
             mats.append(cand_mats[j].copy())
             split.append(cand_costs[j] * self.eta)
         return InterventionPlan(matrices=tuple(mats), budget_split=tuple(split))
 
 
-def _pick_dense(table: GridPlanTable, primary: np.ndarray, secondary: np.ndarray) -> int:
-    """Deterministic argmax: primary desc, secondary desc, cost asc, index asc."""
-    best = primary.max()
-    tied = np.flatnonzero(primary == best)
-    sec = secondary[tied]
-    tied = tied[sec == sec.max()]
-    units = table.units[tied]
-    tied = tied[units == units.min()]
-    return int(tied[0])
-
-
 def oracle_welfare(instance: Instance, eta: float, cap: int = ORACLE_CAP):
-    """Exact best welfare over grid plans: (value, plan)."""
+    """Exact best welfare over grid plans: (value, plan).
+
+    Ties on welfare prefer lower cost.
+    """
     table = GridPlanTable(instance, eta, cap)
     d1 = instance.initial_distribution
-    if table.dense:
-        scores = table.welfare_scores()
-        row = _pick_dense(table, scores, -table.units.astype(float))
-        return float(scores[row]), table.plan_for(row)
     value, ident = table.reduce_best(
         score_fn=lambda vals: vals @ d1,
         tie_fn=lambda vals: np.zeros(len(vals)),
     )
-    return float(value), table.plan_for_stream(ident)
+    return value, table.plan_for(*ident)
 
 
 def oracle_expost_maximin(instance: Instance, eta: float, cap: int = ORACLE_CAP):
@@ -341,15 +273,11 @@ def oracle_expost_maximin(instance: Instance, eta: float, cap: int = ORACLE_CAP)
     """
     table = GridPlanTable(instance, eta, cap)
     d1 = instance.initial_distribution
-    if table.dense:
-        scores = table.maximin_scores()
-        row = _pick_dense(table, scores, table.welfare_scores())
-        return float(scores[row]), table.plan_for(row)
     value, ident = table.reduce_best(
         score_fn=lambda vals: vals.min(axis=1),
         tie_fn=lambda vals: vals @ d1,
     )
-    return float(value), table.plan_for_stream(ident)
+    return value, table.plan_for(*ident)
 
 
 def _pareto_mask(values: np.ndarray) -> np.ndarray:
@@ -369,40 +297,33 @@ def _pareto_mask(values: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _pareto_merge(pool_vals, pool_ids):
+    """Pareto frontier of the pooled rows, in pool order: ([values], ids)."""
+    merged = np.concatenate(pool_vals)
+    keep = _pareto_mask(merged)
+    return [merged[keep]], [pid for pid, k in zip(pool_ids, keep) if k]
+
+
 def oracle_exante_maximin(instance: Instance, eta: float, cap: int = ORACLE_CAP):
     """Exact best randomized maximin over mixtures of grid plans.
 
     Solves max v subject to sum_p lambda_p * reward_j(p) >= v for every
     population j over the enumerated plan set.  Only componentwise-
     undominated reward vectors can carry weight, so the LP runs on the
-    Pareto frontier.  Returns (value, MixedPlan).
+    Pareto frontier, pooled block by block.  Returns (value, MixedPlan).
     """
     table = GridPlanTable(instance, eta, cap)
-    if table.dense:
-        vals = table.values
-        mask = _pareto_mask(vals)
-        rows = np.flatnonzero(mask)
-        idents = list(rows)
-        frontier = vals[rows]
-        rebuild = table.plan_for
-    else:
-        pool_vals, pool_ids = [], []
-        for j, vals, rows, _ in table.stream_by_choice():
-            mask = _pareto_mask(vals)
-            pool_vals.append(vals[mask])
-            pool_ids.extend((int(rows[i]), j) for i in np.flatnonzero(mask))
-            if sum(len(v) for v in pool_vals) > 100_000:
-                merged = np.concatenate(pool_vals)
-                keep = _pareto_mask(merged)
-                pool_ids = [pid for pid, k in zip(pool_ids, keep) if k]
-                pool_vals = [merged[keep]]
-        merged = np.concatenate(pool_vals)
-        keep = _pareto_mask(merged)
-        frontier = merged[keep]
-        idents = [pid for pid, k in zip(pool_ids, keep) if k]
-        rebuild = table.plan_for_stream
+    pool_vals, pool_ids = [], []
+    for vals, key in table.blocks():
+        keep = np.flatnonzero(_pareto_mask(vals))
+        rows, first, _ = table.lookup(key, keep)
+        pool_vals.append(vals[keep])
+        pool_ids += zip(rows.tolist(), first.tolist())
+        if len(pool_ids) > _POOL_ROWS:
+            pool_vals, pool_ids = _pareto_merge(pool_vals, pool_ids)
+    (frontier,), idents = _pareto_merge(pool_vals, pool_ids)
     value, lam, _ = mixture_game(frontier)
-    support = [(float(lam[i]), rebuild(idents[i])) for i in np.flatnonzero(lam)]
+    support = [(float(lam[i]), table.plan_for(*idents[i])) for i in np.flatnonzero(lam)]
     return value, MixedPlan(support=tuple(support))
 
 

@@ -126,7 +126,7 @@ def mixture_from_dict(data: dict) -> MixedPlan:
             (item["weight"], plan_from_dict(item["plan"]))
             for item in data["support"]
         ))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed mixture data: {exc}") from exc
 
 

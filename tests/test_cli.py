@@ -74,6 +74,11 @@ class TestSerialization:
         assert len(again.support) == len(mixture.support)
         assert po.mixed_violations(inst, again) == []
 
+    def test_malformed_mixture_weight_refused(self):
+        plan = plan_to_dict(po.zero_budget_plan(po.random_instance(5, 2, 3, 1.0, 1.0)))
+        with pytest.raises(InputError, match="malformed mixture"):
+            mixture_from_dict({"support": [{"weight": "x", "plan": plan}]})
+
 
 @pytest.fixture()
 def contrast_file(tmp_path):

@@ -34,6 +34,19 @@ class TestOracleWelfare:
         fine, _ = po.oracle_welfare(inst, 0.1)
         assert fine >= coarse - 1e-12
 
+    def test_ties_prefer_thrift(self):
+        # Every plan has welfare 1; the first row in stream order costs 2
+        # units, but the do-nothing plan wins the tie.
+        inst = po.make_instance(
+            (2, 2), (np.eye(2),), (1.0, 1.0), (0.5, 0.5), 0.5
+        )
+        table = GridPlanTable(inst, 0.25)
+        _, key = next(table.blocks())
+        assert table.lookup(key, np.array([0]))[2][0] == 2
+        value, plan = po.oracle_welfare(inst, 0.25)
+        assert value == pytest.approx(1.0)
+        assert plan.total_cost(inst) == 0.0
+
     def test_plans_always_feasible(self):
         for seed in range(4):
             inst = po.random_instance(seed, 2, 3, 0.8, 1.0)
@@ -111,35 +124,79 @@ class TestMixtureGame:
         assert float((values @ mu).max()) <= v + 1e-9
 
 
-class TestStreamedMatchesDense:
-    """Past oracle.DENSE_ROWS plans the table streams its first layer; the
-    streamed reductions must pick what the materialized table picks."""
+def block_count(inst, eta):
+    return sum(1 for _ in GridPlanTable(inst, eta).blocks())
 
-    @pytest.mark.parametrize("make,eta", [
-        (lambda: po.fairness_price_instance(3, 0.1, 1.0), 0.05),
-        (lambda: po.random_instance(61, 2, 2, 1.0, 0.6), 0.1),
-        (lambda: po.random_instance(62, 2, 3, 0.7, 0.6), 0.1),
-        (lambda: po.random_instance(63, 2, 3, 1.0, 0.5), 0.1),
-        (lambda: po.separation_instance(0.6), 0.075),
-    ], ids=["fairness-price", "random-depth2", "random-masked", "random-depth3",
-            "separation"])
-    def test_streamed_matches_dense(self, monkeypatch, make, eta):
+
+def assert_same_plan(plan, other):
+    assert plan.budget_split == other.budget_split
+    for a, b in zip(plan.matrices, other.matrices):
+        np.testing.assert_array_equal(a, b)
+
+
+BLOCK_CASES = pytest.mark.parametrize("make,eta", [
+    (lambda: po.fairness_price_instance(3, 0.1, 1.0), 0.05),
+    (lambda: po.random_instance(61, 2, 2, 1.0, 0.6), 0.1),
+    (lambda: po.random_instance(62, 2, 3, 0.7, 0.6), 0.1),
+    (lambda: po.random_instance(63, 2, 3, 1.0, 0.5), 0.1),
+    (lambda: po.separation_instance(0.6), 0.075),
+], ids=["fairness-price", "random-depth2", "random-masked", "random-depth3",
+        "separation"])
+
+
+class TestBlocks:
+    """The first transition streams in blocks of about oracle._BLOCK_ROWS
+    plans; with _BLOCK_ROWS = 1 each candidate is its own block, and the
+    reductions must pick what one whole-table block picks."""
+
+    @BLOCK_CASES
+    def test_candidate_blocks_match_one_block(self, monkeypatch, make, eta):
         inst = make()
-        assert GridPlanTable(inst, eta).dense
+        assert block_count(inst, eta) == 1
         oracles = (po.oracle_welfare, po.oracle_expost_maximin)
-        dense = [fn(inst, eta) for fn in oracles]
-        dense_exante, _ = po.oracle_exante_maximin(inst, eta)
-        monkeypatch.setattr(oracle, "DENSE_ROWS", 0)
-        assert not GridPlanTable(inst, eta).dense
-        for fn, (d_value, d_plan) in zip(oracles, dense):
+        whole = [fn(inst, eta) for fn in oracles]
+        whole_exante, _ = po.oracle_exante_maximin(inst, eta)
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", 1)
+        assert block_count(inst, eta) > 1
+        for fn, (w_value, w_plan) in zip(oracles, whole):
             value, plan = fn(inst, eta)
-            assert value == d_value
-            assert plan.budget_split == d_plan.budget_split
-            for a, b in zip(plan.matrices, d_plan.matrices):
-                np.testing.assert_array_equal(a, b)
+            assert value == w_value
+            assert_same_plan(plan, w_plan)
         value, mixed = po.oracle_exante_maximin(inst, eta)
-        assert value == pytest.approx(dense_exante, abs=1e-12)
+        assert value == pytest.approx(whole_exante, abs=1e-12)
         assert po.mixed_violations(inst, mixed) == []
+
+    @BLOCK_CASES
+    def test_picks_earliest_best_row(self, make, eta):
+        # Reference: a stable lexsort of the whole table on (primary desc,
+        # secondary desc, units asc) puts the earliest best row first.
+        inst = make()
+        table = GridPlanTable(inst, eta)
+        vals, rows, first, units = (np.concatenate(c) for c in zip(*(
+            (v, *table.lookup(key, np.arange(len(v)))) for v, key in table.blocks()
+        )))
+        d1 = inst.initial_distribution
+        welfare = vals @ d1
+        for fn, primary, secondary in (
+            (po.oracle_welfare, welfare, np.zeros(len(vals))),
+            (po.oracle_expost_maximin, vals.min(axis=1), welfare),
+        ):
+            i = np.lexsort((units, -secondary, -primary))[0]
+            value, plan = fn(inst, eta)
+            assert value == primary[i]
+            assert_same_plan(plan, table.plan_for(rows[i], first[i]))
+
+
+class TestEtaRefusal:
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf"), 0.0, -0.1],
+                             ids=["nan", "inf", "zero", "negative"])
+    @pytest.mark.parametrize("fn", [po.oracle_welfare, po.oracle_expost_maximin,
+                                    po.oracle_exante_maximin],
+                             ids=["welfare", "expost", "exante"])
+    def test_refused(self, fn, eta):
+        inst = po.fairness_price_instance(2, 0.2, 1.0)
+        with pytest.raises(ValueError, match="eta"):
+            fn(inst, eta)
 
 
 class TestCaps:
