@@ -66,13 +66,19 @@ _GROUP_DECIMALS = 12
 _BLOCK_ROWS = 2048
 
 
+def _net_radius(epsilon: float) -> float:
+    """Net radius for step epsilon: no two distributions lie more than 2 apart
+    in l1, so a coarser step needs no coarser net."""
+    return min(epsilon, 2.0)
+
+
 def dp_cell_count(instance: Instance, epsilon: float, pops: int) -> int:
     """Predicted memo size of a DP tracking `pops` populations, without building."""
     grid_points = budget_grid_size(instance.budget, epsilon)
     cells = 0
     for t in range(1, instance.depth - 1):
         d = instance.layer_sizes[t]
-        n = simplex_grid_size(d, net_units(d, epsilon))
+        n = simplex_grid_size(d, net_units(d, _net_radius(epsilon)))
         cells += math.comb(n + pops - 1, pops) * grid_points
     return max(cells, grid_points)
 
@@ -119,7 +125,7 @@ class BackwardDP:
         for t in range(1, instance.depth - 1):
             d = instance.layer_sizes[t]
             if d not in nets_by_dim:
-                net = build_simplex_net(d, epsilon)
+                net = build_simplex_net(d, _net_radius(epsilon))
                 nets_by_dim[d] = net, _multisets(len(net), self.pops)
             self.nets[t], self._table[t] = nets_by_dim[d]
         self.cells_built = 0

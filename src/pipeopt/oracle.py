@@ -6,7 +6,10 @@ always included), evaluate all of them exactly, and return the best.  They
 share no machinery with the dynamic programs or the step solvers: evaluation
 is plain batched matrix algebra, which is what makes them usable as an
 independent check.  The one piece lent the other way is the mixture LP,
-`mixture_game`, which the randomized solver solves over its own plans.
+`mixture_game`, which the randomized solver solves over its own plans.  The
+ex-ante oracle solves the same game as a double oracle over the whole table:
+its best responses are exact argmaxes over every grid plan, so it needs no
+tolerance and no iteration cap.
 
 Intended envelope: width <= 3, depth <= 4, eta coarse enough that the joint
 enumeration stays under the cap (10^7 plans by default; the cap is a
@@ -30,8 +33,6 @@ ORACLE_CAP = 10_000_000
 # Plans per streamed block of the first transition: small tables are one
 # numpy pass, large ones hold the suffix plus one block in memory.
 _BLOCK_ROWS = 1 << 16
-# The ex-ante oracle re-prunes its pooled Pareto rows past this many.
-_POOL_ROWS = 100_000
 _SNAP = 1e-9
 
 
@@ -101,6 +102,12 @@ def _layer_candidates(m0, mask, eta, max_units, cap):
     mats = np.stack([m0 + eta * d for d, _ in combos])
     costs = np.array([c for _, c in combos], dtype=np.int64)
     return mats, costs
+
+
+def _welfare_scores(vals, dist):
+    """vals @ dist, summed column by column: numpy's dot (one row) and gemv
+    (more rows) can round differently, the column sum rounds every row alike."""
+    return sum(vals[:, j] * dist[j] for j in range(len(dist)))
 
 
 def _joint_count(cost_arrays, max_units):
@@ -214,7 +221,8 @@ class GridPlanTable:
         """Deterministic argmax over all feasible plans, one block at a time.
 
         score_fn maps an (n, s0) value block to n primary scores; tie_fn
-        likewise for the secondary criterion.  Ties go to the higher
+        likewise for the secondary criterion.  Both must score each row on
+        its own, whatever rows share its block.  Ties go to the higher
         secondary score, then fewer units, then the earlier row.  Returns
         (score, (suffix_row, first_choice)).
         """
@@ -225,9 +233,7 @@ class GridPlanTable:
             if best is not None and cand < best[0]:
                 continue
             tied = np.flatnonzero(primary == cand)
-            # Scored over the whole block: numpy takes a one-row product
-            # through dot, not gemv, which can round differently.
-            sec_vals = tie_fn(vals)[tied]
+            sec_vals = tie_fn(vals[tied])
             tied = tied[sec_vals == sec_vals.max()]
             rows, first, units = self.lookup(key, tied)
             i = int(np.argmin(units))
@@ -250,6 +256,10 @@ class GridPlanTable:
             split.append(cand_costs[j] * self.eta)
         return InterventionPlan(matrices=tuple(mats), budget_split=tuple(split))
 
+    def rewards_for(self, suffix_row: int, first: int) -> np.ndarray:
+        """Per-population values of the row (suffix_row, first_choice)."""
+        return self._suffix_values[int(suffix_row)] @ self.layers[0][0][int(first)]
+
 
 def oracle_welfare(instance: Instance, eta: float, cap: int = ORACLE_CAP):
     """Exact best welfare over grid plans: (value, plan).
@@ -259,7 +269,7 @@ def oracle_welfare(instance: Instance, eta: float, cap: int = ORACLE_CAP):
     table = GridPlanTable(instance, eta, cap)
     d1 = instance.initial_distribution
     value, ident = table.reduce_best(
-        score_fn=lambda vals: vals @ d1,
+        score_fn=lambda vals: _welfare_scores(vals, d1),
         tie_fn=lambda vals: np.zeros(len(vals)),
     )
     return value, table.plan_for(*ident)
@@ -275,55 +285,36 @@ def oracle_expost_maximin(instance: Instance, eta: float, cap: int = ORACLE_CAP)
     d1 = instance.initial_distribution
     value, ident = table.reduce_best(
         score_fn=lambda vals: vals.min(axis=1),
-        tie_fn=lambda vals: vals @ d1,
+        tie_fn=lambda vals: _welfare_scores(vals, d1),
     )
     return value, table.plan_for(*ident)
-
-
-def _pareto_mask(values: np.ndarray) -> np.ndarray:
-    """Boolean mask of componentwise-undominated rows (first occurrence kept)."""
-    n, s = values.shape
-    order = np.lexsort(tuple(-values[:, c] for c in range(s - 1, -1, -1)))
-    kept_rows = []
-    kept = np.empty((0, s))
-    mask = np.zeros(n, dtype=bool)
-    for i in order:
-        row = values[i]
-        if len(kept_rows) and bool(np.any(np.all(kept >= row, axis=1))):
-            continue
-        kept_rows.append(i)
-        kept = values[np.array(kept_rows)]
-        mask[i] = True
-    return mask
-
-
-def _pareto_merge(pool_vals, pool_ids):
-    """Pareto frontier of the pooled rows, in pool order: ([values], ids)."""
-    merged = np.concatenate(pool_vals)
-    keep = _pareto_mask(merged)
-    return [merged[keep]], [pid for pid, k in zip(pool_ids, keep) if k]
 
 
 def oracle_exante_maximin(instance: Instance, eta: float, cap: int = ORACLE_CAP):
     """Exact best randomized maximin over mixtures of grid plans.
 
     Solves max v subject to sum_p lambda_p * reward_j(p) >= v for every
-    population j over the enumerated plan set.  Only componentwise-
-    undominated reward vectors can carry weight, so the LP runs on the
-    Pareto frontier, pooled block by block.  Returns (value, MixedPlan).
+    population j over the enumerated plan set, as a double oracle.  Starting
+    from the instance's own distribution, it adds the table's best plan
+    against the adversary's distribution and re-solves the restricted game
+    (`mixture_game`) for the adversary's optimal reply, until that plan is
+    already in the game or does not beat the game's value.  The table is
+    finite, so this ends, and then no grid plan beats the value against the
+    adversary's reply.  Returns (value, MixedPlan).
     """
     table = GridPlanTable(instance, eta, cap)
-    pool_vals, pool_ids = [], []
-    for vals, key in table.blocks():
-        keep = np.flatnonzero(_pareto_mask(vals))
-        rows, first, _ = table.lookup(key, keep)
-        pool_vals.append(vals[keep])
-        pool_ids += zip(rows.tolist(), first.tolist())
-        if len(pool_ids) > _POOL_ROWS:
-            pool_vals, pool_ids = _pareto_merge(pool_vals, pool_ids)
-    (frontier,), idents = _pareto_merge(pool_vals, pool_ids)
-    value, lam, _ = mixture_game(frontier)
-    support = [(float(lam[i]), table.plan_for(*idents[i])) for i in np.flatnonzero(lam)]
+    game = {}   # (suffix_row, first_choice) -> per-population rewards
+    value, mu = -math.inf, instance.initial_distribution
+    while True:
+        score, ident = table.reduce_best(
+            score_fn=lambda vals: _welfare_scores(vals, mu),
+            tie_fn=lambda vals: np.zeros(len(vals)),
+        )
+        if ident in game or score <= value:
+            break
+        game[ident] = table.rewards_for(*ident)
+        value, lam, mu = mixture_game(list(game.values()))
+    support = [(float(w), table.plan_for(*ident)) for w, ident in zip(lam, game) if w > 0]
     return value, MixedPlan(support=tuple(support))
 
 

@@ -187,6 +187,14 @@ class TestCli:
         assert code == 3
         assert "refused" in capsys.readouterr().err
 
+    def test_epsilon_above_net_diameter(self, capsys, tmp_path):
+        path = str(tmp_path / "budget3.json")
+        po.save_instance(po.random_instance(1, 2, 3, 1.0, 3.0), path)
+        code, out = run_cli(capsys, "solve-welfare", "--instance", path,
+                            "--epsilon", "3")
+        assert code == 0
+        assert out["objective"] >= po.initial_welfare(po.parse_instance(path)) - 1e-12
+
     def test_gen_cover_reduction(self, capsys, tmp_path):
         graph = tmp_path / "triangle.txt"
         graph.write_text("0 1\n0 2\n1 2\n")

@@ -195,6 +195,15 @@ class TestBrEpsilonCoarsened:
         assert info["cells"] == meta["dp_cells"]
         assert meta["br_epsilon"] > meta["requested_br_epsilon"]
 
+    def test_step_above_net_diameter(self):
+        # Coarsening snaps the step to the budget, 3.0; the nets stop at
+        # radius 2, which already covers the whole simplex.
+        inst = po.random_instance(1, 3, 3, 1.0, 3.0)
+        mixture, report, _ = po.solve_exante_maximin(inst, 0.5, br_cells_cap=20)
+        assert report.solver_meta["br_epsilon"] == 3.0
+        assert report.solver_meta["dp_cells"] == po.dp_welfare.dp_cell_count(inst, 3.0, 1)
+        assert po.mixed_violations(inst, mixture) == []
+
     def test_uncoarsened_is_none(self):
         inst = po.fairness_price_instance(3, 0.1, 1.0)
         _, report, _ = po.solve_exante_maximin(inst, 0.1)

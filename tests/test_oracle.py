@@ -105,8 +105,8 @@ class TestOracleExante:
 
 
 class TestMixtureGame:
-    # The LP behind the ex-ante oracle and the randomized solver's double
-    # oracle; the solver reads its dual as the adversary's next move.
+    # The LP behind both double oracles, the ex-ante grid oracle's and the
+    # randomized solver's; each reads its dual as the adversary's next move.
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
     @given(hnp.arrays(
         np.float64,
@@ -140,8 +140,11 @@ BLOCK_CASES = pytest.mark.parametrize("make,eta", [
     (lambda: po.random_instance(62, 2, 3, 0.7, 0.6), 0.1),
     (lambda: po.random_instance(63, 2, 3, 1.0, 0.5), 0.1),
     (lambda: po.separation_instance(0.6), 0.075),
+    (lambda: po.random_instance(500, 2, 2, 1.0, 0.8), 0.05),
+    (lambda: po.random_instance(700, 3, 2, 1.0, 0.6), 0.1),
+    (lambda: po.random_instance(951, 2, 2, 1.0, 1.0), 0.1),
 ], ids=["fairness-price", "random-depth2", "random-masked", "random-depth3",
-        "separation"])
+        "separation", "random-500", "random-700", "random-951"])
 
 
 class TestBlocks:
@@ -185,6 +188,18 @@ class TestBlocks:
             value, plan = fn(inst, eta)
             assert value == primary[i]
             assert_same_plan(plan, table.plan_for(rows[i], first[i]))
+
+
+    @BLOCK_CASES
+    def test_exante_matches_whole_table_game(self, make, eta):
+        # Reference: the mixture LP over every row of the table at once.
+        inst = make()
+        table = GridPlanTable(inst, eta)
+        whole, _, _ = mixture_game(np.concatenate([v for v, _ in table.blocks()]))
+        value, mixed = po.oracle_exante_maximin(inst, eta)
+        assert value == pytest.approx(whole, abs=1e-9)
+        assert value == pytest.approx(po.evaluate_mixed(inst, mixed)[1], abs=1e-12)
+        assert po.mixed_violations(inst, mixed) == []
 
 
 class TestEtaRefusal:
