@@ -35,7 +35,6 @@ from .layerlp import (
     LayerStepResult,
     WelfareStepSolver,
     solve_maximin_step,
-    solve_welfare_step,
 )
 from .dp_welfare import WelfareDP, solve_social_welfare
 from .dp_maximin import MaximinDP, solve_expost_maximin

@@ -4,9 +4,10 @@
 population per first-layer node: a cell guesses one distribution per
 population (a tuple of simplex-net points), and the connecting transition is
 priced by the maximin step that maximizes the worst population's value
-(`solve_maximin_step`: LP-free for two populations with unit costs, an
-epigraph LP otherwise).  At the first layer the population tuple is exact:
-each population sits on its own starting node.
+(`solve_maximin_step`, given the engine's solver for the continuation:
+LP-free for two populations with unit costs, an epigraph LP otherwise).  At
+the first layer the population tuple is exact: each population sits on its
+own starting node.
 
 The step is symmetric in the populations, so a cell tracks a multiset of
 net points: C(n+p-1, p) multisets for an n-point net and p populations.
@@ -39,27 +40,21 @@ class MaximinDP(BackwardDP):
         self.step_calls = Counter()  # LayerStepResult.path -> calls
         super().__init__(instance, epsilon, cells_cap)
 
-    def _step(self, t: int, r_out, a_in, budget: float):
-        res = solve_maximin_step(
-            r_out, a_in,
-            self.instance.initial_matrices[t],
-            self.instance.malleable[t],
-            budget,
-            self.instance.cost_model.layer_weights(t),
-        )
+    def _step(self, solver, a_in, budget: float):
+        res = solve_maximin_step(solver, a_in, budget)
         self.step_calls[res.path] += 1
         return res
 
-    def _price_block(self, t, key, r_out, a_in, budgets):
+    def _price_block(self, solver, a_in, budgets):
         # Every step is an LP or dual solve that makes its matrix anyway;
         # handing them all back means no cell is solved twice.
-        steps = [[self._step(t, r_out, a, float(b)) for a in a_in]
+        steps = [[self._step(solver, a, float(b)) for a in a_in]
                  for b in budgets]
         return (np.array([[s.objective for s in row] for row in steps]),
                 np.array([[s.matrix for s in row] for row in steps]))
 
-    def _solve_block(self, t, key, r_out, a_in, budgets):
-        return np.array([self._step(t, r_out, a, float(b)).matrix
+    def _solve_block(self, solver, a_in, budgets):
+        return np.array([self._step(solver, a, float(b)).matrix
                          for a, b in zip(a_in, budgets)])
 
     def solve(self) -> tuple:

@@ -10,14 +10,16 @@ with one of the g budget grid points.  Only the step differs between
 objectives: a subclass supplies the number of populations and the step hooks.
 
 Each built layer becomes one list of continuation candidates (next budget
-index, step key, next cell, value vector) for the layer above, in scan
-order: next budget ascending, then table row ascending.  Continuation cells
+index, next cell, value vector) for the layer above, in scan order: next
+budget ascending, then table row ascending.  Continuation cells
 that share an identical value vector have an identical connecting step, so
 each such group enters the list once, through its first cell; the terminal
-layer's list is the single candidate `rewards` with no budget reserved
-downstream.  A cell's value is the best step over the candidates at or
-below its budget index; ties break toward the earlier candidate, so results
-are reproducible.  The memo stores the winning candidate's index per cell.
+layer's list is the single candidate `rewards`, next cell -1, with no budget
+reserved downstream.  Each (layer, next cell) gets one `WelfareStepSolver`,
+built at its first step and handed to both hooks.  A cell's value is the
+best step over the candidates at or below its budget index; ties break
+toward the earlier candidate, so results are reproducible.  The memo stores
+the winning candidate's index per cell.
 
 There is one pricing path, `_price_layer`: a candidate is priced against
 every (row, budget) cell it can serve in one `_price_block` call, and a
@@ -27,10 +29,10 @@ matrices with `_solve_block` per winning candidate, unless pricing already
 handed them back.  A query (`_query`, hence every best response of the
 randomized solver) prices its one first-layer cell as a one-row layer at
 the top budget index, then follows the memo's winners down, solving each
-step with a one-row `_solve_block`.  WelfareDP's hooks are
-`WelfareStepSolver.value_block`/`solve_block`: a vectorized greedy that
-reproduces the scalar one bitwise for unit costs, and a loop over the LP
-for weighted costs.  MaximinDP's hooks loop over the maximin step per pair.
+step with a one-row `_solve_block`.  WelfareDP's hooks are the solver's
+`value_block`/`solve_block`: a vectorized greedy that reproduces the scalar
+one bitwise for unit costs, and a loop over the LP for weighted costs.
+MaximinDP's hooks loop over `solve_maximin_step` per pair.
 
 Welfare is the one-population case: a cell tracks one layer distribution and
 the step is the exact welfare step.  Everything below layer 1 is independent
@@ -94,14 +96,12 @@ class BackwardDP:
     """The backward sweep over (layer, budget, population multiset) cells.
 
     Subclasses set `pops` and `kind` before calling this constructor and
-    implement the two step hooks.  `_price_block(t, key, r_out, a_in,
-    budgets)` returns the (budgets, rows) step values of one continuation
-    for every budget and every row of the (rows, pops, s_t) stack `a_in`,
-    plus the matching matrices, or None when pricing makes none.
-    `_solve_block(t, key, r_out, a_in, budgets)` returns the step matrices
-    for paired rows, a_in[i] at budgets[i].  `key` identifies the
-    continuation ("terminal" or the representative cell) so step solvers
-    may be cached on it.
+    implement the two step hooks, which get the continuation's step solver
+    from `_solver_for`.  `_price_block(solver, a_in, budgets)` returns the
+    (budgets, rows) step values for every budget and every row of the
+    (rows, pops, s_t) stack `a_in`, plus the matching matrices, or None
+    when pricing makes none.  `_solve_block(solver, a_in, budgets)` returns
+    the step matrices for paired rows, a_in[i] at budgets[i].
     """
 
     pops: int
@@ -133,11 +133,20 @@ class BackwardDP:
         self._rvec = {}     # layer -> (cells, s_t) continuation value vectors
         self._choice = {}   # layer -> (cells,) winning candidate index
         # layer -> candidates its cells scan:
-        # [(next budget idx, step key, next cell, value vector)].
-        self._candidates = {
-            instance.depth - 2: [(0, "terminal", -1, instance.rewards)],
-        }
+        # [(next budget idx, next cell or -1 for the terminal, value vector)].
+        self._candidates = {instance.depth - 2: [(0, -1, instance.rewards)]}
+        self._solver_cache = {}  # (layer, next cell) -> WelfareStepSolver
         self._build()
+
+    def _solver_for(self, t: int, next_cell: int, r_out) -> WelfareStepSolver:
+        """The step solver of layer t against one continuation, built once."""
+        solver = self._solver_cache.get((t, next_cell))
+        if solver is None:
+            inst = self.instance
+            solver = self._solver_cache[t, next_cell] = WelfareStepSolver(
+                r_out, inst.initial_matrices[t], inst.malleable[t],
+                inst.cost_model.layer_weights(t))
+        return solver
 
     # -- sweep -----------------------------------------------------------------
 
@@ -157,7 +166,7 @@ class BackwardDP:
             _, first = np.unique(rows, return_index=True)
             for row in np.sort(first).tolist():
                 cell = row * g + b_next
-                candidates.append((b_next, cell, cell, rvec[cell]))
+                candidates.append((b_next, cell, rvec[cell]))
         self._candidates[t - 1] = candidates
 
     def _price_layer(self, t: int, a_in, lo: int = 0) -> tuple:
@@ -179,13 +188,13 @@ class BackwardDP:
         winner = np.zeros((g - lo, n), dtype=np.int64)
         kept = None
         priced = 0
-        for c, (b_next, key, _, r_out) in enumerate(self._candidates[t]):
+        for c, (b_next, next_cell, r_out) in enumerate(self._candidates[t]):
+            solver = self._solver_for(t, next_cell, r_out)
             first = max(b_next, lo)
             budgets = pts[first:] - pts[b_next]
             for j in range(0, n, _BLOCK_ROWS):
                 cols = slice(j, j + _BLOCK_ROWS)
-                values, mats = self._price_block(t, key, r_out, a_in[cols],
-                                                 budgets)
+                values, mats = self._price_block(solver, a_in[cols], budgets)
                 priced += values.size
                 cur = best[first - lo:, cols]
                 better = values > cur
@@ -222,12 +231,13 @@ class BackwardDP:
                 bounds = np.flatnonzero(np.diff(flat[cells])) + 1
                 for part in np.split(cells, bounds):
                     bi, j = np.divmod(part, n)
-                    b_next, key, _, r_out = candidates[flat[part[0]]]
+                    b_next, next_cell, r_out = candidates[flat[part[0]]]
                     if kept is not None:
                         mats = kept[bi, j]
                     else:
-                        mats = self._solve_block(t, key, r_out, a_in[j],
-                                                 pts[bi] - pts[b_next])
+                        mats = self._solve_block(
+                            self._solver_for(t, next_cell, r_out), a_in[j],
+                            pts[bi] - pts[b_next])
                     rvec[j, bi] = r_out @ mats
             self._rvec[t] = rvec.reshape(n * g, -1)
             self._choice[t] = winner.T.ravel()
@@ -253,11 +263,11 @@ class BackwardDP:
         matrix = None if kept is None else kept[0, 0]
         mats, split = [], []
         while True:
-            b_next, key, next_cell, r_out = self._candidates[t][c]
+            b_next, next_cell, r_out = self._candidates[t][c]
             step_budget = self.grid.value(bi) - self.grid.value(b_next)
             if matrix is None:
-                matrix = self._solve_block(t, key, r_out, a_in[None],
-                                           np.array([step_budget]))[0]
+                matrix = self._solve_block(self._solver_for(t, next_cell, r_out),
+                                           a_in[None], np.array([step_budget]))[0]
             mats.append(matrix)
             split.append(step_budget)
             if t == inst.depth - 2:
@@ -285,31 +295,12 @@ class WelfareDP(BackwardDP):
     pops = 1
     kind = "welfare"
 
-    def __init__(self, instance: Instance, epsilon: float,
-                 cells_cap: int = DEFAULT_CELLS_CAP):
-        self._solver_cache = {}
-        super().__init__(instance, epsilon, cells_cap)
-
-    def _solver_for(self, t: int, key, r_out) -> WelfareStepSolver:
-        k = (t, key)
-        s = self._solver_cache.get(k)
-        if s is None:
-            s = WelfareStepSolver(
-                r_out,
-                self.instance.initial_matrices[t],
-                self.instance.malleable[t],
-                self.instance.cost_model.layer_weights(t),
-            )
-            self._solver_cache[k] = s
-        return s
-
-    def _price_block(self, t, key, r_out, a_in, budgets):
+    def _price_block(self, solver, a_in, budgets):
         # Values only: the winners' matrices are solved once afterwards.
-        solver = self._solver_for(t, key, r_out)
         return solver.value_block(a_in[:, 0], budgets), None
 
-    def _solve_block(self, t, key, r_out, a_in, budgets):
-        return self._solver_for(t, key, r_out).solve_block(a_in[:, 0], budgets)
+    def _solve_block(self, solver, a_in, budgets):
+        return solver.solve_block(a_in[:, 0], budgets)
 
     def solve_for(self, d1) -> tuple:
         """(memo chain value, reconstructed plan) for a starting distribution.

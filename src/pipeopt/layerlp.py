@@ -28,12 +28,19 @@ matrices on either side of that breakpoint (`_two_population_step`).  With
 three or more populations or weighted costs it solves one epigraph LP (HiGHS
 via scipy), which also serves as the reference that tests check the LP-free
 step against.  There is one LP assembler, `_epigraph_lp`: the weighted
-welfare step is its one-population case.
+welfare step is its one-population case.  Every step reports the exact
+worst-population value of the matrix it returns.
+
+Both dynamic programs build one solver per continuation (r_out and the
+layer's m0, mask and weights) and price all its steps with it: the welfare
+DP through the block forms, the maximin DP through `solve_maximin_step`.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +103,13 @@ class WelfareStepSolver:
             # the heap walk reads it one offset at a time.
             offsets = np.searchsorted(self._col, np.arange(self.m0.shape[1] + 1))
             self._start = offsets.tolist()
+
+    @functools.cached_property
+    def _cross_pairs(self):
+        """Segment pairs i < j in different columns: ranks that swap as inputs mix."""
+        i, j = np.triu_indices(len(self._rate), k=1)
+        cross = self._col[i] != self._col[j]
+        return i[cross], j[cross]
 
     def _walk(self, d_in, budget):
         """Yield (column, segment index, budget_taken) in global greedy order."""
@@ -226,12 +240,6 @@ class WelfareStepSolver:
         return LayerStepResult(matrix=m, objective=obj, path="greedy")
 
 
-def solve_welfare_step(r_out, d_in, m0, mask, budget_step, cost_weights=None) -> LayerStepResult:
-    """One-shot welfare step; see WelfareStepSolver for the reusable form."""
-    solver = WelfareStepSolver(r_out, m0, mask, weights=cost_weights)
-    return solver.solve(d_in, budget_step)
-
-
 def _repair_columns(m, m0, mask, weights, budget):
     """Restore exact stochasticity and budget feasibility after an LP solve.
 
@@ -265,7 +273,7 @@ def _repair_columns(m, m0, mask, weights, budget):
 _CROSSING_MERGE_TOL = 1e-12
 
 
-def _two_population_step(r_out, a_in, m0, mask, budget) -> LayerStepResult:
+def _two_population_step(solver, a_in, budget) -> LayerStepResult:
     """Exact unit-cost maximin step for two populations, without an LP.
 
     The step value min_j r_out^T M a_j is bilinear in M and in the population
@@ -280,16 +288,18 @@ def _two_population_step(r_out, a_in, m0, mask, budget) -> LayerStepResult:
     population values attains the minimum, and it is feasible because the
     feasible set is convex.
     """
-    solver = WelfareStepSolver(r_out, m0, mask)
+    r_out = solver.r_out
     a1, a2 = a_in
     rate, col = solver._rate, solver._col
     # Effective rate of segment s at lam: base[s] + lam * slope[s].
     base = rate * a2[col]
     slope = rate * (a1 - a2)[col]
-    i, j = np.triu_indices(len(rate), k=1)
-    cross = (col[i] != col[j]) & (slope[i] != slope[j])
+    i, j = solver._cross_pairs
+    cross = slope[i] != slope[j]
     i, j = i[cross], j[cross]
-    lams = (base[j] - base[i]) / (slope[i] - slope[j])
+    # A subnormal input can put a crossing past the float range: inf, dropped.
+    with np.errstate(over="ignore"):
+        lams = (base[j] - base[i]) / (slope[i] - slope[j])
     lams = np.sort(lams[(lams > _CROSSING_MERGE_TOL)
                         & (lams < 1.0 - _CROSSING_MERGE_TOL)])
     points = [0.0]
@@ -321,29 +331,31 @@ def _two_population_step(r_out, a_in, m0, mask, budget) -> LayerStepResult:
     return LayerStepResult(matrix=m, objective=float(values.min()), path="dual")
 
 
-def solve_maximin_step(r_out, a_in, m0, mask, budget_step, cost_weights=None) -> LayerStepResult:
-    """Maximize min_j r_out^T M a_in[j] over feasible M.
+def solve_maximin_step(solver, a_in, budget_step) -> LayerStepResult:
+    """Maximize min_j r_out^T M a_in[j] over the feasible M of `solver`'s step.
 
     a_in is a (populations, source-layer-size) array of per-population input
-    distributions.  Two populations with unit costs take the LP-free
-    `_two_population_step`; everything else is the epigraph LP.
+    distributions.  One population is the welfare step; two populations
+    with unit costs take the LP-free `_two_population_step`; everything else
+    is the epigraph LP.
     """
-    r_out = np.asarray(r_out, dtype=float)
-    a_in = np.atleast_2d(np.asarray(a_in, dtype=float))
-    m0 = np.asarray(m0, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
+    a_in = np.asarray(a_in, dtype=float)
+    # One pass over a_in: a NaN or an infinity anywhere makes the sum non-finite.
+    if (a_in.shape[1:] != solver.m0.shape[1:] or not len(a_in)
+            or not math.isfinite(a_in.sum())):
+        raise ValueError(f"a_in must be a finite (populations, {solver.m0.shape[1]}) "
+                         f"array, got {a_in.tolist()}")
     if not budget_step >= 0:
         raise ValueError(f"budget must be non-negative, got {budget_step}")
-    if a_in.shape[0] == 1:
-        # min over one population is the welfare step.
-        return solve_welfare_step(r_out, a_in[0], m0, mask, budget_step, cost_weights)
+    if len(a_in) == 1:
+        return solver.solve(a_in[0], budget_step)
     # Without budget, or without a column of >= 2 malleable entries, nothing
     # can move; the epigraph LP returns m0 for those steps unsolved.
-    if (a_in.shape[0] == 2 and cost_weights is None
-            and budget_step > 0 and mask.sum(axis=0).max() >= 2):
-        return _two_population_step(r_out, a_in, m0, mask, budget_step)
-    weights = None if cost_weights is None else np.asarray(cost_weights, dtype=float)
-    return _epigraph_lp(r_out, a_in, m0, mask, budget_step, weights)
+    if (len(a_in) == 2 and solver.weights is None
+            and budget_step > 0 and solver.mask.sum(axis=0).max() >= 2):
+        return _two_population_step(solver, a_in, budget_step)
+    return _epigraph_lp(solver.r_out, a_in, solver.m0, solver.mask, budget_step,
+                        solver.weights)
 
 
 def _epigraph_lp(r_out, a_in, m0, mask, budget, weights) -> LayerStepResult:
@@ -399,4 +411,6 @@ def _epigraph_lp(r_out, a_in, m0, mask, budget, weights) -> LayerStepResult:
     m = m0.copy()
     m[v_e, u_e] = res.x[:n]
     m = _repair_columns(m, m0, mask, weights, budget)
-    return LayerStepResult(matrix=m, objective=float(res.x[2 * n]), path="lp")
+    # What the matrix attains; HiGHS's tolerance lets v overstate it by ~1e-7.
+    return LayerStepResult(matrix=m, objective=float(((r_out @ m) @ a_in.T).min()),
+                           path="lp")

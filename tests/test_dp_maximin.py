@@ -119,6 +119,23 @@ class TestReportAndCaps:
         first_layer = len(dp._candidates[0])
         assert sum(dp.step_calls.values()) == built + first_layer + inst.depth - 2
 
+    def test_one_step_solver_per_continuation(self, monkeypatch):
+        # Every step against one continuation shares one solver, however
+        # many (row, budget) pairs the build prices against it.
+        made = []
+        init = po.WelfareStepSolver.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(po.WelfareStepSolver, "__init__", counting_init)
+        dp = po.MaximinDP(po.random_instance(7, 2, 4, 1.0, 1.0), 0.25)
+        # Layer 0's candidates are priced only by a query.
+        assert len(made) == len(dp._solver_cache) == sum(
+            len(c) for t, c in dp._candidates.items() if t >= 1)
+        assert sum(dp.step_calls.values()) > len(made)
+
     def test_population_tuple_counts(self):
         # Every layer tracks the multisets of `width` net points, and the
         # predicted memo size is the built one.

@@ -207,24 +207,26 @@ def reference_scan(dp, t, a_in, bi, solvers):
     m0, mask = inst.initial_matrices[t], inst.malleable[t]
     weights = inst.cost_model.layer_weights(t)
     best = (-np.inf, -1, None)
-    for c, (b_next, key, _, r_out) in enumerate(dp._candidates[t]):
+    for c, (b_next, next_cell, r_out) in enumerate(dp._candidates[t]):
         if b_next > bi:
             break
         budget = dp.grid.value(bi) - dp.grid.value(b_next)
         if isinstance(dp, po.MaximinDP):
-            res = solve_maximin_step(r_out, a_in, m0, mask, budget, weights)
+            # A fresh solver per step, against the DP's one per continuation.
+            res = solve_maximin_step(WelfareStepSolver(r_out, m0, mask, weights),
+                                     a_in, budget)
             value, matrix = res.objective, res.matrix
         else:
-            if (t, key) not in solvers:
-                solvers[t, key] = WelfareStepSolver(r_out, m0, mask, weights)
-            value, matrix = solvers[t, key].value(a_in[0], budget), None
+            if (t, next_cell) not in solvers:
+                solvers[t, next_cell] = WelfareStepSolver(r_out, m0, mask, weights)
+            value, matrix = solvers[t, next_cell].value(a_in[0], budget), None
         if value > best[0]:
             best = (value, c, matrix)
     value, c, matrix = best
     if matrix is None:
-        b_next, key, _, _ = dp._candidates[t][c]
+        b_next, next_cell, _ = dp._candidates[t][c]
         budget = dp.grid.value(bi) - dp.grid.value(b_next)
-        matrix = solvers[t, key].solve(a_in[0], budget).matrix
+        matrix = solvers[t, next_cell].solve(a_in[0], budget).matrix
     return value, c, matrix
 
 
@@ -257,7 +259,7 @@ class TestBlockBuild:
                 a_in = dp.nets[t].points[table[row]]
                 _, c, m = reference_scan(dp, t, a_in, bi, solvers)
                 assert c == dp._choice[t][cell]
-                assert np.array_equal(rvec[cell], dp._candidates[t][c][3] @ m)
+                assert np.array_equal(rvec[cell], dp._candidates[t][c][2] @ m)
         # A query prices its first-layer cell at the top budget index.
         if isinstance(dp, po.MaximinDP):
             starts = [np.eye(dp.pops)]

@@ -6,12 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 import pipeopt as po
-from pipeopt.layerlp import (
-    WelfareStepSolver,
-    _epigraph_lp,
-    solve_maximin_step,
-    solve_welfare_step,
-)
+from pipeopt.layerlp import WelfareStepSolver, _epigraph_lp, solve_maximin_step
 
 rng = np.random.default_rng(404)
 
@@ -91,7 +86,7 @@ def welfare_step_by_linprog(r_out, a_in, m0, mask, budget, weights=None):
 class TestWelfareStep:
     def test_zero_budget_returns_initial(self):
         r_out, d_in, m0, mask, _ = random_step(3, 3)
-        res = solve_welfare_step(r_out, d_in, m0, mask, 0.0)
+        res = WelfareStepSolver(r_out, m0, mask).solve(d_in, 0.0)
         np.testing.assert_array_equal(res.matrix, m0)
         assert res.objective == pytest.approx(float(r_out @ m0 @ d_in))
 
@@ -101,7 +96,7 @@ class TestWelfareStep:
         d_in = np.array([0.8, 0.1, 0.1])
         m0 = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
         mask = np.ones_like(m0, dtype=bool)
-        res = solve_welfare_step(r_out, d_in, m0, mask, 1.0)
+        res = WelfareStepSolver(r_out, m0, mask).solve(d_in, 1.0)
         assert res.objective == pytest.approx(0.40, abs=1e-9)
         np.testing.assert_allclose(res.matrix[:, 0], [0.5, 0.5], atol=1e-9)
 
@@ -110,7 +105,7 @@ class TestWelfareStep:
         # one grid cell per column.
         r_out, d_in, m0, mask, _ = random_step(2, 2)
         budget = 0.4
-        res = solve_welfare_step(r_out, d_in, m0, mask, budget)
+        res = WelfareStepSolver(r_out, m0, mask).solve(d_in, budget)
         eta = 0.01
         best = -np.inf
         steps0 = np.arange(0, m0[0, 0] / eta + 1, dtype=int)
@@ -137,14 +132,14 @@ class TestWelfareStep:
             cols = int(rng.integers(1, 5))
             r_out, d_in, m0, mask, weights = random_step(rows, cols, mask_p, weighted)
             budget = float(rng.uniform(0, 2.5))
-            res = solve_welfare_step(r_out, d_in, m0, mask, budget, weights)
+            res = WelfareStepSolver(r_out, m0, mask, weights).solve(d_in, budget)
             ref = welfare_step_by_linprog(r_out, d_in, m0, mask, budget, weights)
             assert res.objective == pytest.approx(ref, abs=1e-7)
 
     def test_budget_monotone(self):
         r_out, d_in, m0, mask, _ = random_step(3, 3)
         values = [
-            solve_welfare_step(r_out, d_in, m0, mask, b).objective
+            WelfareStepSolver(r_out, m0, mask).solve(d_in, b).objective
             for b in np.linspace(0, 2, 9)
         ]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
@@ -153,7 +148,7 @@ class TestWelfareStep:
         for _ in range(20):
             r_out, d_in, m0, mask, weights = random_step(3, 2, 0.7, True)
             budget = float(rng.uniform(0, 1.5))
-            res = solve_welfare_step(r_out, d_in, m0, mask, budget, weights)
+            res = WelfareStepSolver(r_out, m0, mask, weights).solve(d_in, budget)
             m = res.matrix
             np.testing.assert_allclose(m.sum(axis=0), 1.0, atol=1e-9)
             assert np.all(m >= -1e-12) and np.all(m <= 1 + 1e-12)
@@ -165,8 +160,9 @@ class TestWelfareStep:
         # rewarded entry must still give an entry of at most 1.
         m0 = PLUS_ULP_COLUMN
         assert m0.sum() > 1.0
-        res = solve_welfare_step(np.array([1.0, 0.0, 0.0, 0.0]), np.ones(1),
-                                 m0, np.ones_like(m0, dtype=bool), 2.0)
+        solver = WelfareStepSolver(np.array([1.0, 0.0, 0.0, 0.0]), m0,
+                                   np.ones_like(m0, dtype=bool))
+        res = solver.solve(np.ones(1), 2.0)
         np.testing.assert_array_equal(res.matrix[:, 0], [1.0, 0.0, 0.0, 0.0])
 
 
@@ -174,8 +170,8 @@ class TestMaximinStep:
     def test_single_population_equals_welfare(self):
         r_out, d_in, m0, mask, _ = random_step(3, 3)
         a_in = d_in[None, :]
-        res = solve_maximin_step(r_out, a_in, m0, mask, 0.5)
-        ref = solve_welfare_step(r_out, d_in, m0, mask, 0.5)
+        res = solve_maximin_step(WelfareStepSolver(r_out, m0, mask), a_in, 0.5)
+        ref = WelfareStepSolver(r_out, m0, mask).solve(d_in, 0.5)
         assert res.objective == pytest.approx(ref.objective, abs=1e-9)
 
     def test_even_split_optimum_and_uniqueness(self):
@@ -185,7 +181,7 @@ class TestMaximinStep:
         m0 = np.array([[0.0] * 3, [1.0] * 3])
         mask = np.ones_like(m0, dtype=bool)
         a_in = np.eye(3)
-        res = solve_maximin_step(r_out, a_in, m0, mask, 1.0)
+        res = solve_maximin_step(WelfareStepSolver(r_out, m0, mask), a_in, 1.0)
         assert res.objective == pytest.approx(1 / 6, abs=1e-7)
         np.testing.assert_allclose(res.matrix[0], [1 / 6] * 3, atol=1e-7)
         np.testing.assert_allclose(res.matrix[1], [5 / 6] * 3, atol=1e-7)
@@ -195,7 +191,7 @@ class TestMaximinStep:
             r_out, _, m0, mask, _ = random_step(2, 2)
             a_in = np.eye(2)
             budget = 0.5
-            res = solve_maximin_step(r_out, a_in, m0, mask, budget)
+            res = solve_maximin_step(WelfareStepSolver(r_out, m0, mask), a_in, budget)
             eta = 0.01
             best = -np.inf
             for a_units in range(-int(m0[0, 0] / eta), int(m0[1, 0] / eta) + 1):
@@ -213,7 +209,7 @@ class TestMaximinStep:
     def test_budget_zero_is_initial(self):
         r_out, _, m0, mask, _ = random_step(3, 2)
         a_in = np.eye(2)
-        res = solve_maximin_step(r_out, a_in, m0, mask, 0.0)
+        res = solve_maximin_step(WelfareStepSolver(r_out, m0, mask), a_in, 0.0)
         np.testing.assert_array_equal(res.matrix, m0)
 
     def test_output_feasibility(self):
@@ -221,7 +217,8 @@ class TestMaximinStep:
             r_out, _, m0, mask, weights = random_step(3, 3, 0.7, True)
             a_in = np.eye(3)
             budget = float(rng.uniform(0, 1.5))
-            res = solve_maximin_step(r_out, a_in, m0, mask, budget, weights)
+            solver = WelfareStepSolver(r_out, m0, mask, weights)
+            res = solve_maximin_step(solver, a_in, budget)
             m = res.matrix
             np.testing.assert_allclose(m.sum(axis=0), 1.0, atol=1e-9)
             np.testing.assert_array_equal(m[~mask], m0[~mask])
@@ -231,7 +228,7 @@ class TestMaximinStep:
         r_out, _, m0, mask, _ = random_step(2, 2)
         a_in = np.eye(2)
         values = [
-            solve_maximin_step(r_out, a_in, m0, mask, b).objective
+            solve_maximin_step(WelfareStepSolver(r_out, m0, mask), a_in, b).objective
             for b in np.linspace(0, 2, 9)
         ]
         assert all(b >= a - 1e-7 for a, b in zip(values, values[1:]))
@@ -247,7 +244,8 @@ class TestMaximinStep:
             r_out, _, m0, mask, weights = random_step(rows, cols, mask_p, weighted)
             a_in = rng.dirichlet(np.ones(cols), size=int(rng.integers(3, 5)))
             budget = float(rng.uniform(0, 2.5))
-            res = solve_maximin_step(r_out, a_in, m0, mask, budget, weights)
+            solver = WelfareStepSolver(r_out, m0, mask, weights)
+            res = solve_maximin_step(solver, a_in, budget)
             ref = welfare_step_by_linprog(r_out, a_in, m0, mask, budget, weights)
             assert res.objective == pytest.approx(ref, abs=1e-7)
 
@@ -262,8 +260,7 @@ class TestBudgetRefusal:
 
     @pytest.mark.parametrize("budget", [float("nan"), -0.1], ids=["nan", "negative"])
     @pytest.mark.parametrize("call", [
-        "value", "value_block", "solve", "solve_block", "solve_welfare_step",
-        "solve_maximin_step",
+        "value", "value_block", "solve", "solve_block", "solve_maximin_step",
     ])
     def test_refused(self, call, budget):
         solver = WelfareStepSolver(self.r_out, self.m0, self.mask)
@@ -273,13 +270,26 @@ class TestBudgetRefusal:
             "value_block": lambda: solver.value_block(self.d_in, [0.5, budget]),
             "solve": lambda: solver.solve(self.d_in, budget),
             "solve_block": lambda: solver.solve_block(np.eye(2), [0.5, budget]),
-            "solve_welfare_step": lambda: solve_welfare_step(
-                self.r_out, self.d_in, self.m0, self.mask, budget),
-            "solve_maximin_step": lambda: solve_maximin_step(
-                self.r_out, np.eye(2), self.m0, self.mask, budget),
+            "solve_maximin_step": lambda: solve_maximin_step(solver, np.eye(2), budget),
         }
         with pytest.raises(ValueError, match="budget"):
             calls[call]()
+
+
+class TestInputRefusal:
+    """The maximin step refuses a non-finite or misshapen `a_in` by name."""
+
+    solver = WelfareStepSolver(np.array([1.0, 0.0]), np.array([[0.3, 0.6], [0.7, 0.4]]),
+                               np.ones((2, 2), dtype=bool))
+
+    @pytest.mark.parametrize("a_in", [
+        [[float("nan"), 1.0], [0.0, 1.0]], [[float("inf"), 0.0], [0.0, 1.0]],
+        [[0.5, 0.5, 0.0]], np.zeros((2, 1)), [0.5, 0.5], np.zeros((0, 2)),
+        np.full((3, 2), 0.5)[:, :, None],
+    ], ids=["nan", "inf", "too-long", "too-short", "1-d", "no-population", "3-d"])
+    def test_refused(self, a_in):
+        with pytest.raises(ValueError, match="a_in"):
+            solve_maximin_step(self.solver, a_in, 0.5)
 
 
 def _counts(draw, shape):
@@ -398,9 +408,22 @@ class TestTwoPopulationDualStep:
     @example((np.array([1.0, 0.0, 0.0, 0.0]), np.eye(2),
               np.hstack([PLUS_ULP_COLUMN, PLUS_ULP_COLUMN]),
               np.ones((4, 2), dtype=bool), 2.5))
+    # A frozen entry below HiGHS's feasibility tolerance: the LP's own v
+    # overstates what its matrix attains by about 1.2e-7.
+    @example((np.array([2.0, 0.0, 0.0]), np.eye(3)[[0, 2]],
+              np.array([[1.0, 1.0, 1.0 - 2.0**-24], [0.0, 0.0, 2.0**-24],
+                        [0.0, 0.0, 0.0]]),
+              np.array([[False, False, True], [False, False, False],
+                        [False, False, True]]), 1.0))
+    # A subnormal input entry: one crossing lies past the float range.
+    @example((np.array([0.0, 0.0, 1.0, 0.0]), np.array([[0.0, 1.0], [1e-310, 1.0]]),
+              np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]),
+              np.array([[False, False], [True, True], [True, True], [False, False]]),
+              1.0))
     def test_matches_lp_and_is_feasible(self, step):
         r_out, a_in, m0, mask, budget = step
-        res = solve_maximin_step(r_out, a_in, m0, mask, budget)
+        solver = WelfareStepSolver(r_out, m0, mask)
+        res = solve_maximin_step(solver, a_in, budget)
         ref = _epigraph_lp(r_out, a_in, m0, mask, budget, None)
         assert res.path in ("dual", "initial")
         assert ref.path in ("lp", "initial")
@@ -415,7 +438,7 @@ class TestTwoPopulationDualStep:
         assert res.objective == float(((r_out @ m) @ a_in.T).min())
         # Swapping the populations leaves the value alone: the claim behind
         # BackwardDP's multiset table.
-        swapped = solve_maximin_step(r_out, a_in[::-1], m0, mask, budget)
+        swapped = solve_maximin_step(solver, a_in[::-1], budget)
         assert swapped.objective == pytest.approx(res.objective, abs=1e-12)
 
     def test_even_split_needs_mixing(self):
@@ -424,7 +447,7 @@ class TestTwoPopulationDualStep:
         r_out = np.array([1.0, 0.0])
         m0 = np.array([[0.0, 0.0], [1.0, 1.0]])
         mask = np.ones_like(m0, dtype=bool)
-        res = solve_maximin_step(r_out, np.eye(2), m0, mask, 1.0)
+        res = solve_maximin_step(WelfareStepSolver(r_out, m0, mask), np.eye(2), 1.0)
         assert res.path == "dual"
         assert res.objective == pytest.approx(0.25, abs=1e-15)
         np.testing.assert_allclose(res.matrix[0], [0.25, 0.25], atol=1e-15)
@@ -438,7 +461,7 @@ class TestTwoPopulationDualStep:
         m0 = np.array([[0.2, 0.2], [0.3, 0.3], [0.5, 0.5]])
         mask = np.ones_like(m0, dtype=bool)
         a_in = np.array([[0.9, 0.1], [0.3, 0.7]])
-        res = solve_maximin_step(r_out, a_in, m0, mask, budget)
+        res = solve_maximin_step(WelfareStepSolver(r_out, m0, mask), a_in, budget)
         ref = _epigraph_lp(r_out, a_in, m0, mask, budget, None)
         assert res.objective == pytest.approx(ref.objective, abs=1e-9)
 
@@ -454,7 +477,7 @@ class TestTwoPopulationDualStep:
                          [True, True, False],
                          [False, True, False]])
         a_in = np.eye(3)[:2]
-        res = solve_maximin_step(r_out, a_in, m0, mask, budget)
+        res = solve_maximin_step(WelfareStepSolver(r_out, m0, mask), a_in, budget)
         assert res.path == "dual"
         np.testing.assert_array_equal(res.matrix[~mask], m0[~mask])
         ref = _epigraph_lp(r_out, a_in, m0, mask, budget, None)
@@ -462,7 +485,8 @@ class TestTwoPopulationDualStep:
 
     def test_weighted_costs_keep_the_lp(self):
         r_out, _, m0, mask, weights = random_step(3, 2, weighted=True)
-        res = solve_maximin_step(r_out, np.eye(2), m0, mask, 0.5, weights)
+        solver = WelfareStepSolver(r_out, m0, mask, weights)
+        res = solve_maximin_step(solver, np.eye(2), 0.5)
         assert res.path == "lp"
 
 
