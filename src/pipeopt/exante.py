@@ -6,9 +6,10 @@ response to any adversary distribution is one query into the welfare DP,
 whose memo is built once.  A few rounds of multiplicative weights (one by
 default) seed a restricted game with their responses.  The double oracle
 (McMahan, Gordon & Blum 2003) then solves the restricted game exactly
-(`oracle.mixture_game`), asks the DP for a best response to the adversary's
-optimal distribution, and adds it, until that response gains nothing over
-the restricted game's value.  The DP's plan set is finite, so this ends.
+(`oracle.mixture_game`, by support enumeration while the game is small),
+asks the DP for a best response to the adversary's optimal distribution,
+and adds it, until that response gains nothing over the restricted game's
+value.  The DP's plan set is finite, so this ends.
 The reported mixture is the restricted game's optimum, and the last response
 certifies how far the optimum can lie above it.
 """

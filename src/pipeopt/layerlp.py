@@ -85,6 +85,8 @@ class WelfareStepSolver:
             raise ValueError("weight shape does not match matrix")
         # Base column values r_out^T m0[:, u].
         self.col_base = self.r_out @ self.m0
+        # Whether some column has >= 2 malleable entries, so mass can move.
+        self.can_move = bool(self.mask.sum(axis=0).max() >= 2)
         if self.weights is None:
             # Every move segment, sorted by (column, decreasing rate, donor).
             # Scaling rates by d_in[u] keeps the order within a column, so one
@@ -311,7 +313,7 @@ def _two_population_step(solver, a_in, budget) -> LayerStepResult:
     def mix(lam):
         return lam * a1 + (1.0 - lam) * a2
 
-    k = int(np.argmin([solver.value(mix(lam), budget) for lam in points]))
+    k = int(np.array([solver.value(mix(lam), budget) for lam in points]).argmin())
     # Greedy matrix of each piece next to the minimizer, taken at its middle.
     pieces = points[max(k - 1, 0):k + 2]
     sides = [solver.solve(mix(0.5 * (lo + hi)), budget).matrix
@@ -352,7 +354,7 @@ def solve_maximin_step(solver, a_in, budget_step) -> LayerStepResult:
     # Without budget, or without a column of >= 2 malleable entries, nothing
     # can move; the epigraph LP returns m0 for those steps unsolved.
     if (len(a_in) == 2 and solver.weights is None
-            and budget_step > 0 and solver.mask.sum(axis=0).max() >= 2):
+            and budget_step > 0 and solver.can_move):
         return _two_population_step(solver, a_in, budget_step)
     return _epigraph_lp(solver.r_out, a_in, solver.m0, solver.mask, budget_step,
                         solver.weights)

@@ -5,11 +5,12 @@ grid step eta (relative to the initial matrices, so the do-nothing plan is
 always included), evaluate all of them exactly, and return the best.  They
 share no machinery with the dynamic programs or the step solvers: evaluation
 is plain batched matrix algebra, which is what makes them usable as an
-independent check.  The one piece lent the other way is the mixture LP,
-`mixture_game`, which the randomized solver solves over its own plans.  The
-ex-ante oracle solves the same game as a double oracle over the whole table:
-its best responses are exact argmaxes over every grid plan, so it needs no
-tolerance and no iteration cap.
+independent check.  The one piece lent the other way is the zero-sum game
+solver, `mixture_game`, which the randomized solver runs over its own plans:
+small games by Shapley & Snow's support enumeration, large ones by one LP.
+The ex-ante oracle solves the same game as a double oracle over the whole
+table: its best responses are exact argmaxes over every grid plan, so it
+needs no tolerance and no iteration cap.
 
 Intended envelope: width <= 3, depth <= 4, eta coarse enough that the joint
 enumeration stays under the cap (10^7 plans by default; the cap is a
@@ -21,6 +22,8 @@ a small table is a single block, reduced in one numpy pass.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -34,6 +37,14 @@ ORACLE_CAP = 10_000_000
 # numpy pass, large ones hold the suffix plus one block in memory.
 _BLOCK_ROWS = 1 << 16
 _SNAP = 1e-9
+# mixture_game enumerates square supports while a K x p game has at most
+# this many, C(K + p, p) - 1 of them, and solves one LP otherwise.
+_SUPPORT_CAP = 500
+# An enumerated pair is optimal when its duality gap is at most _CERT_TOL
+# times max|values|; a support whose |1^T adj(M) 1| is under _SINGULAR_TOL
+# times max|values|^(s - 1) is skipped as singular.
+_CERT_TOL = 1e-12
+_SINGULAR_TOL = 1e-12
 
 
 def _column_options(m0col, maskcol, eta, max_units, cap):
@@ -284,7 +295,9 @@ def oracle_expost_maximin(instance: Instance, eta: float, cap: int = ORACLE_CAP)
     table = GridPlanTable(instance, eta, cap)
     d1 = instance.initial_distribution
     value, ident = table.reduce_best(
-        score_fn=lambda vals: vals.min(axis=1),
+        # Row minima as a chain of column minima: numpy reduces a short
+        # last axis slowly, and a minimum is exact either way.
+        score_fn=lambda vals: functools.reduce(np.minimum, vals.T),
         tie_fn=lambda vals: _welfare_scores(vals, d1),
     )
     return value, table.plan_for(*ident)
@@ -322,11 +335,81 @@ def mixture_game(values) -> tuple:
     """Solve the zero-sum game max_lambda min_j sum_i lambda_i * values[i, j].
 
     Rows are the designer's plans, columns the adversary's populations.
-    Returns (v, lambda, mu): the game value, the designer's weights (entries
-    at or below 1e-10 dropped, the rest renormalized) and the adversary's
-    optimal distribution, read from the LP dual (HiGHS marginals).
+    Returns (v, lambda, mu): the designer's weights (entries at or below
+    1e-10 dropped, the rest renormalized), the adversary's optimal
+    distribution, and v = min_j (lambda^T values)_j.  Games with at most
+    _SUPPORT_CAP square supports are solved by `_support_game`; larger ones,
+    and any it cannot certify, by the LP `_mixture_lp`.
     """
     values = np.asarray(values, dtype=float)
+    found = None
+    if math.comb(sum(values.shape), values.shape[1]) - 1 <= _SUPPORT_CAP:
+        found = _support_game(values)
+    lam, mu = _mixture_lp(values) if found is None else found
+    lam = np.where(lam > 1e-10, lam, 0.0)
+    lam /= sum(float(w) for w in lam if w > 0)
+    mu = np.maximum(mu, 0.0)
+    mu /= mu.sum()
+    return float((lam @ values).min()), lam, mu
+
+
+@functools.cache
+def _supports(k, p, s):
+    """Index arrays for the s x s supports (S, T) of a k x p game, S major:
+    each support's rows and columns, (n, s) each; the flat indices of the
+    (s-1) x (s-1) minors of values[S, T], (n, s, s, s-1, s-1), minor (i, j)
+    dropping row i and column j; and the cofactor signs, (s, s).  Cached,
+    so every call shares them; none is written."""
+    rows, cols = (np.array(list(itertools.combinations(range(n), s)), dtype=np.intp)
+                  for n in (k, p))
+    r = np.repeat(rows, len(cols), axis=0)
+    c = np.tile(cols, (len(rows), 1))
+    flat = r[:, :, None] * p + c[:, None, :]
+    rest = np.array([[j for j in range(s) if j != i] for i in range(s)], dtype=np.intp)
+    minors = flat[:, rest[:, None, :, None], rest[None, :, None, :]]
+    return r, c, minors, (-1.0) ** np.add.outer(np.arange(s), np.arange(s))
+
+
+def _support_game(values):
+    """Optimal (lambda, mu) by Shapley & Snow's basic solutions, or None.
+
+    Every finite zero-sum game has an optimal pair on square supports S
+    (rows) and T (columns) whose submatrix M = values[S, T] has a nonzero
+    1^T adj(M) 1: lambda_S is proportional to 1^T adj(M), mu_T to adj(M) 1.
+    For sizes 1, 2, ... this forms both for every (S, T) of the size in one
+    batch, from M's cofactors, and returns the first pair in lexicographic
+    order that certifies itself: with both strategies clipped to
+    distributions, no row beats lambda's worst column by more than
+    _CERT_TOL * max|values| against mu.
+    """
+    k, p = values.shape
+    scale = float(np.abs(values).max())
+    for s in range(1, min(k, p) + 1):
+        rows, cols, minors, sign = _supports(k, p, s)
+        cof = np.linalg.det(values.take(minors)) * sign
+        total = cof.sum(axis=(1, 2))
+        keep = np.abs(total) > _SINGULAR_TOL * scale ** (s - 1)
+        cof, total, rows, cols = cof[keep], total[keep, None], rows[keep], cols[keep]
+        # Each sums to 1 before clipping, so a positive entry survives it.
+        lam_s = np.maximum(cof.sum(axis=2) / total, 0.0)
+        mu_t = np.maximum(cof.sum(axis=1) / total, 0.0)
+        lam_s /= lam_s.sum(axis=1, keepdims=True)
+        mu_t /= mu_t.sum(axis=1, keepdims=True)
+        worst = (lam_s[:, :, None] * values[rows]).sum(axis=1).min(axis=1)
+        best = (values[:, cols] * mu_t).sum(axis=2).max(axis=0)
+        cert = np.flatnonzero(best - worst <= _CERT_TOL * scale)
+        if len(cert):
+            i = cert[0]
+            lam, mu = np.zeros(k), np.zeros(p)
+            lam[rows[i]] = lam_s[i]
+            mu[cols[i]] = mu_t[i]
+            return lam, mu
+    return None
+
+
+def _mixture_lp(values):
+    """Optimal (lambda, mu) of the mixture game by one LP: lambda from the
+    primal, mu from the dual (HiGHS marginals)."""
     f, s1 = values.shape
     c = np.zeros(f + 1)
     c[-1] = -1.0
@@ -338,8 +421,4 @@ def mixture_game(values) -> tuple:
                   bounds=[(0.0, None)] * f + [(None, None)], method="highs")
     if res.status != 0:
         raise RuntimeError(f"mixture LP failed: {res.message}")
-    lam = np.where(res.x[:f] > 1e-10, res.x[:f], 0.0)
-    lam /= sum(float(w) for w in lam if w > 0)
-    mu = np.maximum(-res.ineqlin.marginals, 0.0)
-    mu /= mu.sum()
-    return float(res.x[-1]), lam, mu
+    return res.x[:f], -res.ineqlin.marginals

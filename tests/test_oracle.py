@@ -1,8 +1,10 @@
 """Grid-enumeration oracles."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import pipeopt as po
@@ -104,9 +106,25 @@ class TestOracleExante:
         assert value == pytest.approx(reeval, abs=1e-7)
 
 
+@st.composite
+def small_games(draw):
+    """Games of at most oracle._SUPPORT_CAP supports: 1-6 plans, up to two of
+    them repeated, against 1-4 populations; entries on a quarter grid (ties)
+    or free in [0, 1], scaled by 1, 1e3 or 1e-3."""
+    k, p = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    elements = draw(st.sampled_from([
+        st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+        st.floats(0.0, 1.0, allow_nan=False, allow_subnormal=False),
+    ]))
+    values = draw(hnp.arrays(np.float64, (k, p), elements=elements))
+    repeats = draw(st.lists(st.integers(0, k - 1), max_size=2))
+    scale = draw(st.sampled_from([1.0, 1e3, 1e-3]))
+    return np.vstack([values, values[repeats]]) * scale
+
+
 class TestMixtureGame:
-    # The LP behind both double oracles, the ex-ante grid oracle's and the
-    # randomized solver's; each reads its dual as the adversary's next move.
+    # The game solver behind both double oracles, the ex-ante grid oracle's
+    # and the randomized solver's; each reads mu as the adversary's next move.
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
     @given(hnp.arrays(
         np.float64,
@@ -122,6 +140,37 @@ class TestMixtureGame:
         assert v == pytest.approx(float((lam @ values).min()), abs=1e-9)
         # The adversary's distribution is optimal: no plan beats v against it.
         assert float((values @ mu).max()) <= v + 1e-9
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(small_games())
+    @example(np.full((3, 3), 0.4))
+    @example(np.array([[1.0, 0.0, 0.5], [1.0, 0.0, 0.5], [0.0, 1.0, 0.5]]))
+    def test_enumeration_matches_lp(self, values):
+        # Reference: the LP, whose primal and dual bracket the game value.
+        tol = 1e-9 * max(1.0, float(np.abs(values).max()))
+        lam_lp, mu_lp = oracle._mixture_lp(values)
+        assert float((values @ mu_lp).max()) - float((lam_lp @ values).min()) <= tol
+        assert oracle._support_game(values) is not None
+        v, lam, mu = mixture_game(values)
+        assert v == pytest.approx(float((lam_lp @ values).min()), abs=tol)
+        for dist in (lam, mu):
+            assert np.all(dist >= 0)
+            assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+        assert v == float((lam @ values).min())
+        assert float((values @ mu).max()) <= v + tol
+
+    def test_lp_only_above_support_cap(self, monkeypatch):
+        calls = []
+        real = oracle.linprog
+        monkeypatch.setattr(oracle, "linprog",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        mixture_game(np.random.default_rng(5).random((4, 3)))
+        assert calls == []
+        table = GridPlanTable(po.separation_instance(0.6), 0.075)
+        values = np.concatenate([v for v, _ in table.blocks()])
+        assert math.comb(sum(values.shape), values.shape[1]) - 1 > oracle._SUPPORT_CAP
+        mixture_game(values)
+        assert len(calls) >= 1
 
 
 def block_count(inst, eta):
@@ -189,6 +238,19 @@ class TestBlocks:
             assert value == primary[i]
             assert_same_plan(plan, table.plan_for(rows[i], first[i]))
 
+    @BLOCK_CASES
+    def test_expost_matches_axis_min_reference(self, make, eta):
+        # Reference: the same reduction scored by numpy's row minimum.
+        inst = make()
+        table = GridPlanTable(inst, eta)
+        d1 = inst.initial_distribution
+        ref_value, ident = table.reduce_best(
+            score_fn=lambda vals: vals.min(axis=1),
+            tie_fn=lambda vals: oracle._welfare_scores(vals, d1),
+        )
+        value, plan = po.oracle_expost_maximin(inst, eta)
+        assert value == ref_value
+        assert_same_plan(plan, table.plan_for(*ident))
 
     @BLOCK_CASES
     def test_exante_matches_whole_table_game(self, make, eta):
