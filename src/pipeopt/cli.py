@@ -88,6 +88,9 @@ def _cmd_solve(args, kind: str) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.out and args.objective not in ("exante", "all"):
+        raise InputError(f"--out writes the exante mixture; --objective {args.objective} "
+                         "has none")
     instance = parse_instance(args.instance)
     out = {"grid": args.grid}
     objective = args.objective

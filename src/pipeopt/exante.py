@@ -120,7 +120,6 @@ def _effective_br_epsilon(instance: Instance, requested: float, cells_cap: int) 
 
 
 def solve_exante_maximin(instance: Instance, epsilon: float, rounds: int | None = None,
-                         br_epsilon: float | None = None,
                          br_cells_cap: int = DEFAULT_BR_CELLS_CAP) -> tuple:
     """Approximately optimal randomized intervention, with a certified gap.
 
@@ -138,9 +137,8 @@ def solve_exante_maximin(instance: Instance, epsilon: float, rounds: int | None 
     response's value under the last adversary plus that slack), so the
     objective is within gap + 3(k-1)*eps_br*max(R) of optimal.
     """
-    for name, value in (("epsilon", epsilon), ("br_epsilon", br_epsilon)):
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     t0 = time.perf_counter()
     pops = instance.layer_sizes[0]
     t_max = 1 if rounds is None else int(rounds)
@@ -149,10 +147,7 @@ def solve_exante_maximin(instance: Instance, epsilon: float, rounds: int | None 
     beta = 1.0 / (1.0 + math.sqrt(2 * math.log(pops) / t_max)) if pops >= 2 else 0.5
 
     requested = epsilon / (3 * (instance.depth - 1))
-    if br_epsilon is None:
-        eps_br, coarsened = _effective_br_epsilon(instance, requested, br_cells_cap)
-    else:
-        eps_br, coarsened = float(br_epsilon), None
+    eps_br, coarsened = _effective_br_epsilon(instance, requested, br_cells_cap)
     dp = WelfareDP(instance, eps_br, cells_cap=max(br_cells_cap, 1))
 
     cache = {}

@@ -52,7 +52,7 @@ def fairness_price_instance(width: int, tail_mass: float, budget: float) -> Inst
     )
 
 
-def separation_instance(budget: float, max_budget: float = SEPARATION_DEFAULT_MAX_BUDGET) -> Instance:
+def separation_instance(budget: float) -> Instance:
     """Four layers (2, 3, 3, 2), two half-probability paths to the reward.
 
     Node order: layer 1 = (u1, v1); layer 2 = (u2, v2, x); layer 3 =
@@ -62,10 +62,10 @@ def separation_instance(budget: float, max_budget: float = SEPARATION_DEFAULT_MA
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    if budget > max_budget:
+    if budget > SEPARATION_DEFAULT_MAX_BUDGET:
         warnings.warn(
-            f"budget {budget} > {max_budget}: the randomized-vs-deterministic gap "
-            "is only guaranteed for small budgets",
+            f"budget {budget} > {SEPARATION_DEFAULT_MAX_BUDGET}: the randomized-vs-"
+            "deterministic gap is only guaranteed for small budgets",
             stacklevel=2,
         )
     m1 = np.array([

@@ -93,7 +93,7 @@ class SimplexNet:
         return len(self.points)
 
 
-def build_simplex_net(dim: int, radius: float, cap: int = DEFAULT_NET_CAP) -> SimplexNet:
+def build_simplex_net(dim: int, radius: float) -> SimplexNet:
     """Constructive l1 cover of the probability simplex of dimension `dim`.
 
     The inner spacing is delta = 1/ceil(2*(dim-1)/radius) (`net_units`; the
@@ -106,10 +106,10 @@ def build_simplex_net(dim: int, radius: float, cap: int = DEFAULT_NET_CAP) -> Si
         raise ValueError(f"radius must lie in (0, 2], got {radius}")
     units = net_units(dim, radius)
     size = simplex_grid_size(dim, units)
-    if size > cap:
+    if size > DEFAULT_NET_CAP:
         raise CapacityError(
             f"simplex net for dim={dim}, radius={radius} would hold {size} points "
-            f"(cap {cap})"
+            f"(cap {DEFAULT_NET_CAP})"
         )
     coords = []
     # Lexicographic enumeration of compositions: first coordinate slowest.

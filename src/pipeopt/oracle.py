@@ -14,10 +14,14 @@ needs no tolerance and no iteration cap.
 
 Intended envelope: width <= 3, depth <= 4, eta coarse enough that the joint
 enumeration stays under the cap (10^7 plans by default; the cap is a
-parameter).  A table combines every transition after the first into a
-cost-sorted suffix and streams the first transition through the reductions
-in blocks of about _BLOCK_ROWS plans, so memory is the suffix plus one block:
-a small table is a single block, reduced in one numpy pass.
+parameter).  Each transition's grid variants are listed as arrays: a
+column's deltas are the Cartesian grid over its free entries but the last,
+which takes minus their sum, and the transition's variants are the
+affordable combinations of its columns' deltas.  A table combines every
+transition after the first into a cost-sorted suffix and streams the first
+transition through the reductions in blocks of about _BLOCK_ROWS plans, so
+memory is the suffix plus one block: a small table is a single block,
+reduced in one numpy pass.
 """
 
 from __future__ import annotations
@@ -48,71 +52,54 @@ _SINGULAR_TOL = 1e-12
 
 
 def _column_options(m0col, maskcol, eta, max_units, cap):
-    """All grid deltas for one column: (delta in eta units, cost in units).
+    """All grid deltas for one column: (deltas (n, rows) in eta units,
+    costs (n,) in units), the first free entry varying slowest.
 
     Deltas keep the column stochastic (they sum to zero), respect entry
     bounds, touch only malleable entries, and cost at most max_units.
     """
-    free = [int(v) for v in np.flatnonzero(maskcol)]
-    zero = np.zeros(len(m0col), dtype=np.int64)
+    free = np.flatnonzero(maskcol)
     if len(free) <= 1:
-        return [(zero, 0)]
-    lo = {v: -int(math.floor(m0col[v] / eta + _SNAP)) for v in free}
-    hi = {v: int(math.floor((1.0 - m0col[v]) / eta + _SNAP)) for v in free}
-    options = []
-
-    def rec(idx, acc, acc_sum, acc_cost):
-        if acc_cost > max_units:
-            return
-        if idx == len(free) - 1:
-            last = free[idx]
-            d = -acc_sum
-            if lo[last] <= d <= hi[last] and acc_cost + abs(d) <= max_units:
-                delta = zero.copy()
-                for v, dv in acc:
-                    delta[v] = dv
-                delta[last] = d
-                options.append((delta, acc_cost + abs(d)))
-            return
-        v = free[idx]
-        for dv in range(lo[v], hi[v] + 1):
-            rec(idx + 1, acc + [(v, dv)], acc_sum + dv, acc_cost + abs(dv))
-
-    bound = 1
-    for v in free[:-1]:
-        bound *= min(hi[v] - lo[v] + 1, 2 * max_units + 1)
+        return np.zeros((1, len(m0col)), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    lo = [-int(math.floor(m0col[v] / eta + _SNAP)) for v in free]
+    hi = [int(math.floor((1.0 - m0col[v]) / eta + _SNAP)) for v in free]
+    bound = math.prod(min(h - l + 1, 2 * max_units + 1) for l, h in zip(lo[:-1], hi[:-1]))
     if bound > cap:
         raise CapacityError(f"column enumeration would scan {bound} deltas (cap {cap})")
-    rec(0, [], 0, 0)
-    return options
+    # Every free entry but the last over its range (an entry past +-max_units
+    # alone costs too much); the last takes minus their sum.
+    axes = [np.arange(max(l, -max_units), min(h, max_units) + 1)
+            for l, h in zip(lo[:-1], hi[:-1])]
+    head = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    last = -head.sum(axis=1)
+    costs = np.abs(head).sum(axis=1) + np.abs(last)
+    keep = (lo[-1] <= last) & (last <= hi[-1]) & (costs <= max_units)
+    deltas = np.zeros((int(keep.sum()), len(m0col)), dtype=np.int64)
+    deltas[:, free[:-1]] = head[keep]
+    deltas[:, free[-1]] = last[keep]
+    return deltas, costs[keep]
 
 
 def _layer_candidates(m0, mask, eta, max_units, cap):
-    """All grid variants of one transition matrix: (matrices, cost_units)."""
+    """All grid variants of one transition matrix: (matrices, cost_units),
+    in the order of nested loops over the columns' options, first column
+    outermost."""
     cols = [
         _column_options(m0[:, u], mask[:, u], eta, max_units, cap)
         for u in range(m0.shape[1])
     ]
     count = 1
-    for c in cols:
+    for _, c in cols:
         count *= len(c)
         if count > cap:
             raise CapacityError(f"layer enumeration would hold {count} matrices (cap {cap})")
-    combos = [(np.zeros_like(m0, dtype=np.int64), 0)]
-    for u, opts in enumerate(cols):
-        nxt = []
-        for delta, cost in combos:
-            for d, c in opts:
-                if cost + c <= max_units:
-                    nd = delta.copy()
-                    nd[:, u] = d
-                    nxt.append((nd, cost + c))
-        combos = nxt
-        if len(combos) > cap:
-            raise CapacityError(f"layer enumeration exceeded cap {cap}")
-    mats = np.stack([m0 + eta * d for d, _ in combos])
-    costs = np.array([c for _, c in combos], dtype=np.int64)
-    return mats, costs
+    deltas = np.zeros((1, m0.shape[0], 0), dtype=np.int64)
+    costs = np.zeros(1, dtype=np.int64)
+    for d, c in cols:
+        i, j = np.nonzero(costs[:, None] + c[None, :] <= max_units)
+        deltas = np.concatenate([deltas[i], d[j, :, None]], axis=2)
+        costs = costs[i] + c[j]
+    return m0 + eta * deltas, costs
 
 
 def _welfare_scores(vals, dist):
@@ -170,15 +157,13 @@ class GridPlanTable:
         # from the empty suffix: rows hold value vectors r^T M_{k-2} ... M_t,
         # sorted by cost (a stable sort), so each candidate of the transition
         # before can afford a prefix.  The 0-unit row keeps every prefix
-        # non-empty.
+        # non-empty.  Every transition has the 0-unit do-nothing candidate,
+        # so each stage row extends to a plan: no stage outgrows total_plans.
         self._suffix_values = instance.rewards[None, :]
         self._suffix_units = np.zeros(1, dtype=np.int64)
         self._stages = [None] * k1
         for t in range(k1 - 1, 0, -1):
-            ends = self._ends(t)
-            if ends.sum() > cap:
-                raise CapacityError(f"grid oracle exceeded cap {cap}")
-            vals, key = self._block(t, 0, ends)
+            vals, key = self._block(t, 0, self._ends(t))
             parents, choices, units = self.lookup(key, np.arange(len(vals)))
             order = np.argsort(units, kind="stable")
             self._stages[t] = (parents[order], choices[order])

@@ -173,6 +173,16 @@ class TestCli:
         assert out["exante_maximin"]["value"] == pytest.approx(0.1705, abs=1e-9)
         assert out["welfare"]["value"] >= out["expost_maximin"]["value"] - 1e-9
 
+    @pytest.mark.parametrize("objective", ["welfare", "maximin"])
+    def test_oracle_out_without_mixture_exits_2(self, capsys, tmp_path, objective):
+        # Refused before the (missing) instance is read.
+        out = tmp_path / "plan.json"
+        code = main(["oracle", "--instance", "/nonexistent.json", "--grid", "0.1",
+                     "--objective", objective, "--out", str(out)])
+        assert code == 2
+        assert "--out" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oracle_cap_exit_3(self, capsys, tmp_path):
         sep = str(tmp_path / "sep.json")
         run_cli(capsys, "gen", "--family", "separation", "--B", "0.6",

@@ -171,7 +171,7 @@ class TestDoubleOracle:
 
 
 class TestEpsilonRefused:
-    @pytest.mark.parametrize("name", ["epsilon", "br_epsilon"])
+    @pytest.mark.parametrize("name", ["epsilon"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
     def test_non_finite_or_non_positive(self, name, value):
         inst = po.fairness_price_instance(2, 0.1, 1.0)

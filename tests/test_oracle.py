@@ -1,5 +1,6 @@
 """Grid-enumeration oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -262,6 +263,82 @@ class TestBlocks:
         assert value == pytest.approx(whole, abs=1e-9)
         assert value == pytest.approx(po.evaluate_mixed(inst, mixed)[1], abs=1e-12)
         assert po.mixed_violations(inst, mixed) == []
+
+
+def reference_candidates(m0, mask, eta, max_units):
+    """Every grid variant of m0 by brute force: each column's free entries
+    over their whole ranges, then the columns, in itertools.product order."""
+    columns = []
+    for u in range(m0.shape[1]):
+        free = np.flatnonzero(mask[:, u])
+        ranges = [range(-math.floor(m0[v, u] / eta + oracle._SNAP),
+                        math.floor((1.0 - m0[v, u]) / eta + oracle._SNAP) + 1)
+                  for v in free]
+        options = []
+        for dvs in itertools.product(*ranges):
+            cost = sum(abs(dv) for dv in dvs)
+            if sum(dvs) == 0 and cost <= max_units:
+                delta = np.zeros(m0.shape[0], dtype=np.int64)
+                delta[free] = dvs
+                options.append((delta, cost))
+        columns.append(options)
+    mats, costs = [], []
+    for combo in itertools.product(*columns):
+        cost = sum(c for _, c in combo)
+        if cost <= max_units:
+            mats.append(m0 + eta * np.stack([d for d, _ in combo], axis=1))
+            costs.append(cost)
+    return np.stack(mats), np.array(costs, dtype=np.int64)
+
+
+LAYERS = {
+    # Column 0 has a lone malleable entry, column 1 is frozen.
+    "lone_and_frozen": (np.array([[0.5, 0.2, 0.3], [0.5, 0.8, 0.0], [0.0, 0.0, 0.7]]),
+                        np.array([[True, False, True], [False, False, True],
+                                  [False, False, True]])),
+    "zero_and_one": (np.array([[1.0, 0.0], [0.0, 1.0]]), np.ones((2, 2), dtype=bool)),
+    "off_grid_width3": (np.array([[0.3, 1.0, 0.0], [0.7, 0.0, 0.35], [0.0, 0.0, 0.65]]),
+                        np.ones((3, 3), dtype=bool)),
+    "partly_malleable": (np.array([[0.3, 0.5], [0.3, 0.5], [0.4, 0.0]]),
+                         np.array([[True, True], [False, True], [True, True]])),
+}
+
+
+class TestLayerCandidates:
+    @pytest.mark.parametrize("max_units", [0, 1, 3, 8])
+    @pytest.mark.parametrize("eta", [0.25, 0.1, 0.075])
+    @pytest.mark.parametrize("name", sorted(LAYERS))
+    def test_matches_reference(self, name, eta, max_units):
+        m0, mask = LAYERS[name]
+        mats, costs = oracle._layer_candidates(m0, mask, eta, max_units, oracle.ORACLE_CAP)
+        ref_mats, ref_costs = reference_candidates(m0, mask, eta, max_units)
+        assert mats.dtype == ref_mats.dtype and costs.dtype == ref_costs.dtype
+        assert mats.shape == ref_mats.shape
+        assert mats.tobytes() == ref_mats.tobytes()
+        assert costs.tobytes() == ref_costs.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_layers_match_reference(self, seed):
+        inst = po.random_instance(seed, 3, 2, 0.7, 0.5)
+        m0, mask = inst.initial_matrices[0], inst.malleable[0]
+        mats, costs = oracle._layer_candidates(m0, mask, 0.1, 5, oracle.ORACLE_CAP)
+        ref_mats, ref_costs = reference_candidates(m0, mask, 0.1, 5)
+        assert mats.tobytes() == ref_mats.tobytes()
+        assert costs.tobytes() == ref_costs.tobytes()
+
+    def test_column_scan_refused(self):
+        # Two of the three free entries span 11 steps each: 121 deltas to scan.
+        m0 = np.full((3, 1), 0.5)
+        m0[2, 0] = 0.0
+        with pytest.raises(CapacityError, match="column enumeration would scan 121"):
+            oracle._layer_candidates(m0, np.ones((3, 1), dtype=bool), 0.1, 10, 120)
+
+    def test_layer_count_refused(self):
+        # Each column scans 5 deltas, within the cap, and keeps all 5; two
+        # columns already make 25 matrices.
+        m0 = np.full((2, 3), 0.5)
+        with pytest.raises(CapacityError, match="layer enumeration would hold 25"):
+            oracle._layer_candidates(m0, np.ones((2, 3), dtype=bool), 0.25, 4, 10)
 
 
 class TestEtaRefusal:
