@@ -28,27 +28,42 @@ def initial_welfare(instance: Instance) -> float:
     return welfare(instance, zero_budget_plan(instance))
 
 
-def welfare_upper_bound(instance: Instance) -> float:
-    """No feasible plan beats min(max reward, initial welfare + B/2 * max reward).
+def _weight_range(instance: Instance) -> tuple:
+    """(smallest, largest) cost of a unit of change on any edge: (1, 1) for
+    unit costs."""
+    if instance.cost_model.kind == "l1":
+        return 1.0, 1.0
+    weights = instance.cost_model.weights
+    return (min(float(w.min()) for w in weights),
+            max(float(w.max()) for w in weights))
 
-    Each unit of budget raises at most half a unit of probability mass, worth
-    at most the top reward.
+
+def welfare_upper_bound(instance: Instance) -> float:
+    """No feasible plan beats min(max reward, initial welfare + B'/2 * max reward).
+
+    B' = B / w_min is the most absolute change the budget buys, w_min the
+    cheapest edge's weight (1 for unit costs).  Each unit of change raises
+    at most half a unit of probability mass, worth at most the top reward.
     """
     r = instance.reward_sup
-    return min(r, initial_welfare(instance) + instance.budget / 2.0 * r)
+    change = instance.budget / _weight_range(instance)[0]
+    return min(r, initial_welfare(instance) + change / 2.0 * r)
 
 
 def maximin_lower_bound(instance: Instance) -> float:
     """Welfare (and value) floor of every exact maximin optimum.
 
-    Valid only when every edge is malleable: the budget can always be spent
-    pushing each second-to-last-layer node toward the best reward, giving
-    every population at least min(1, B/2w) of the top reward.
+    Valid only when every edge is malleable: the budget buys at least
+    B' = B / w_max of absolute change, w_max the dearest edge's weight (1
+    for unit costs), which can always be spent pushing each
+    second-to-last-layer node toward the best reward, giving every
+    population at least min(1, B'/2w) of the top reward.
     """
     if not instance.all_malleable():
         raise ValueError("maximin_lower_bound requires every edge malleable")
     w = instance.width
-    return min(1.0, instance.budget / (2.0 * w)) * instance.reward_sup
+    change = instance.budget / _weight_range(instance)[1]
+    return min(1.0, change / (2.0 * w)) * instance.reward_sup
 
 
 @dataclass
@@ -78,10 +93,13 @@ def price_of_fairness_bracket(instance: Instance, epsilon: float) -> tuple:
     by the DP maximin plan's welfare plus the solvers' approximation slack, so
     it is a conservative empirical lower bound, not an exact price: the exact
     set of maximin optima is not enumerable.  The certificate carries the raw
-    empirical ratio (no slack) and both plans.
+    empirical ratio (no slack) and both plans.  The analytic worst case is
+    for unit costs, so weighted costs are refused.
     """
     if not instance.all_malleable():
         raise ValueError("price_of_fairness_bracket requires every edge malleable")
+    if instance.cost_model.kind != "l1":
+        raise ValueError("price_of_fairness_bracket requires unit (l1) costs")
     w_report, w_plan = solve_social_welfare(instance, epsilon)
     m_report, m_plan = solve_expost_maximin(instance, epsilon)
     fair_welfare = welfare(instance, m_plan)

@@ -23,7 +23,7 @@ from .exante import solve_exante_maximin
 from .model import validate_instance
 from .dp_maximin import solve_expost_maximin
 from .dp_welfare import solve_social_welfare
-from .oracle import oracle_exante_maximin, oracle_expost_maximin, oracle_welfare
+from .oracle import GridPlanTable
 from .serialize import (
     instance_to_dict,
     mixture_to_dict,
@@ -92,19 +92,20 @@ def _cmd_oracle(args) -> int:
         raise InputError(f"--out writes the exante mixture; --objective {args.objective} "
                          "has none")
     instance = parse_instance(args.instance)
+    table = GridPlanTable(instance, args.grid)
     out = {"grid": args.grid}
     objective = args.objective
     if objective in ("welfare", "all"):
-        value, plan = oracle_welfare(instance, args.grid)
+        value, plan = table.welfare()
         out["welfare"] = {"value": value, "budget_used": plan.total_cost(instance)}
     if objective in ("maximin", "all"):
-        value, plan = oracle_expost_maximin(instance, args.grid)
+        value, plan = table.expost_maximin()
         out["expost_maximin"] = {
             "value": value,
             "budget_used": plan.total_cost(instance),
         }
     if objective in ("exante", "all"):
-        value, mixture = oracle_exante_maximin(instance, args.grid)
+        value, mixture = table.exante_maximin()
         out["exante_maximin"] = {
             "value": value,
             "support_size": len(mixture.support),
@@ -120,7 +121,9 @@ def _cmd_bounds(args) -> int:
     out = {"welfare_upper_bound": bounds_mod.welfare_upper_bound(instance)}
     if instance.all_malleable():
         out["maximin_lower_bound"] = bounds_mod.maximin_lower_bound(instance)
-        if args.epsilon is not None:
+        if args.epsilon is not None and instance.cost_model.kind != "l1":
+            out["note"] = "the fairness-price bracket requires unit (l1) costs"
+        elif args.epsilon is not None:
             lower, upper, cert = bounds_mod.price_of_fairness_bracket(
                 instance, args.epsilon
             )

@@ -5,9 +5,9 @@ population per first-layer node: a cell guesses one distribution per
 population (a tuple of simplex-net points), and the connecting transition is
 priced by the maximin step that maximizes the worst population's value
 (`solve_maximin_step`, given the engine's solver for the continuation:
-LP-free for two populations with unit costs, an epigraph LP otherwise).  At
-the first layer the population tuple is exact: each population sits on its
-own starting node.
+LP-free for two populations, an epigraph LP for three or more, with unit or
+weighted costs alike).  At the first layer the population tuple is exact:
+each population sits on its own starting node.
 
 The step is symmetric in the populations, so a cell tracks a multiset of
 net points: C(n+p-1, p) multisets for an n-point net and p populations.

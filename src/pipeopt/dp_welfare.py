@@ -31,8 +31,8 @@ randomized solver) prices its one first-layer cell as a one-row layer at
 the top budget index, then follows the memo's winners down, solving each
 step with a one-row `_solve_block`.  WelfareDP's hooks are the solver's
 `value_block`/`solve_block`: a vectorized greedy that reproduces the scalar
-one bitwise for unit costs, and a loop over the LP for weighted costs.
-MaximinDP's hooks loop over `solve_maximin_step` per pair.
+one bitwise, for unit and weighted costs alike.  MaximinDP's hooks loop
+over `solve_maximin_step` per pair.
 
 Welfare is the one-population case: a cell tracks one layer distribution and
 the step is the exact welfare step.  Everything below layer 1 is independent

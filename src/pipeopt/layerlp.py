@@ -7,28 +7,30 @@ maximizes the worst population's value.  Feasibility is a per-entry box, a
 column-stochasticity equality, frozen non-malleable entries, and a budget on
 the (possibly weighted) total mass moved.
 
-With unit costs the welfare step is solved by an exact greedy rather than
-a generic LP solver: any feasible matrix decomposes into donor->recipient
-mass moves inside columns, each unit of budget spent on a move has a fixed
-gain rate, and donor capacities are independent, so filling the best rates
-first is optimal (a fractional knapsack).  `WelfareStepSolver` builds every
-move segment once, as one flat table sorted by column and rate, and every
-reader walks that table: the scalar heap walk, the numpy replay of it in
-`value_block`/`solve_block` (many (input, budget) pairs at once, bitwise
-equal to the walk, which the welfare DP prices every step with), and the
-two-population maximin step.  The scalar walk serves the blocks of a single
-pair (a DP query's steps) and the tests, as the reference the block forms
-are checked against.
+The welfare step is solved by an exact greedy rather than a generic LP
+solver, for unit and per-edge weighted costs alike.  Any feasible matrix
+decomposes into donor->target mass moves inside columns, so the step is the
+LP relaxation of a multiple-choice knapsack with one class per donor entry:
+each donor's best gain for a given spend is the upper concave hull of its
+(cost, gain) options, and filling the hull edges of all donors best rate
+first is optimal.  With unit costs every option costs the same, so each
+donor's hull is one edge to its column's best target.  `WelfareStepSolver`
+builds every edge (a move segment) once, as one flat table sorted by column
+and rate, and every reader walks that table: the scalar heap walk, the numpy
+replay of it in `value_block`/`solve_block` (many (input, budget) pairs at
+once, bitwise equal to the walk, which the welfare DP prices every step
+with), and the two-population maximin step.  The scalar walk serves the
+blocks of a single pair (a DP query's steps) and the tests, as the reference
+the block forms are checked against.
 
-The maximin step couples populations.  With two populations and unit costs
-it needs no LP: by the minimax theorem its value is the smallest welfare-step
-value over mixtures of the two population inputs, found exactly at a
-breakpoint of the greedy order, and the optimal matrix mixes the greedy
-matrices on either side of that breakpoint (`_two_population_step`).  With
-three or more populations or weighted costs it solves one epigraph LP (HiGHS
-via scipy), which also serves as the reference that tests check the LP-free
-step against.  There is one LP assembler, `_epigraph_lp`: the weighted
-welfare step is its one-population case.  Every step reports the exact
+The maximin step couples populations.  With two populations it needs no LP:
+by the minimax theorem its value is the smallest welfare-step value over
+mixtures of the two population inputs, found exactly at a breakpoint of the
+greedy order, and the optimal matrix mixes the greedy matrices on either
+side of that breakpoint (`_two_population_step`).  With three or more
+populations it solves one epigraph LP, `_epigraph_lp` (HiGHS via scipy,
+imported at the first LP), which also serves as the reference that tests
+check the LP-free steps against.  Every step reports the exact
 worst-population value of the matrix it returns.
 
 Both dynamic programs build one solver per continuation (r_out and the
@@ -44,7 +46,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+
+
+def linprog(*args, **kwargs):
+    """scipy's `linprog`, imported at the first LP: scipy.optimize is most
+    of the cost of importing pipeopt, and most runs never solve an LP."""
+    from scipy.optimize import linprog as highs
+    return highs(*args, **kwargs)
+
 
 @dataclass
 class LayerStepResult:
@@ -64,12 +73,12 @@ class WelfareStepSolver:
     whole batch of pairs in one call.  All of them read one segment table,
     built here.
 
-    Unit costs admit the greedy: every unit of budget moves half a unit of
-    mass, so gain per budget and gain per mass rank moves identically and
-    each donor routes everything to the best malleable target.  Per-edge
-    weights break that alignment (a donor may prefer a cheap mediocre target
-    when budget binds but a pricey good one when supply binds), so the
-    weighted variant goes through the one-population epigraph LP.
+    Weighted costs (`weights`, the per-entry cost of a unit of change) give
+    each donor one segment per edge of its (cost, gain) hull, built by
+    `_hull_edges`; a donor may buy a cheap mediocre target first and
+    re-route that mass to a dearer, better one as the budget grows.  Unit
+    costs give one segment per donor, built in closed form.  Both tables are
+    walked the same way.
     """
 
     def __init__(self, r_out, m0, mask, weights=None):
@@ -88,23 +97,69 @@ class WelfareStepSolver:
         # Whether some column has >= 2 malleable entries, so mass can move.
         self.can_move = bool(self.mask.sum(axis=0).max() >= 2)
         if self.weights is None:
-            # Every move segment, sorted by (column, decreasing rate, donor).
-            # Scaling rates by d_in[u] keeps the order within a column, so one
-            # table serves every input.  Each donor moves to its column's best
-            # malleable target; a lone malleable entry is that target itself.
+            # Every option costs 2 per unit of mass, so each donor's hull is
+            # one edge, to its column's best malleable target (the first of
+            # tied ones); a lone malleable entry is that target itself.
             r = self.r_out
             best = np.argmax(np.where(self.mask, r[:, None], -np.inf), axis=0)
             gain = r[best] - r[:, None]
             donor, col = np.nonzero(self.mask & (gain > 0) & (self.m0 > 0))
             rate = gain[donor, col] / 2.0
-            order = np.lexsort((donor, -rate, col))
-            self._rate, self._col, self._donor = rate[order], col[order], donor[order]
-            self._cap = 2.0 * self.m0[self._donor, self._col]
-            self._recipient = best[self._col]
-            # Column u's segments are _start[u]:_start[u + 1]; a list, as
-            # the heap walk reads it one offset at a time.
-            offsets = np.searchsorted(self._col, np.arange(self.m0.shape[1] + 1))
-            self._start = offsets.tolist()
+            edge, source, recipient = np.zeros_like(donor), donor, best[col]
+            dc = np.full(len(donor), 2.0)
+        else:
+            col, rate, donor, edge, source, recipient, dc = self._hull_edges()
+        # Every move segment, sorted by (column, decreasing rate, donor, edge).
+        # Scaling rates by d_in[u] keeps the order within a column, so one
+        # table serves every input; a donor's edges have decreasing rates,
+        # so they stay in hull order.
+        order = np.lexsort((edge, donor, -rate, col))
+        self._rate, self._col = rate[order], col[order]
+        self._source, self._recipient, self._dc = source[order], recipient[order], dc[order]
+        self._cap = self.m0[donor[order], self._col] * self._dc
+        # Column u's segments are _start[u]:_start[u + 1]; a list, as the
+        # heap walk reads it one offset at a time.
+        offsets = np.searchsorted(self._col, np.arange(self.m0.shape[1] + 1))
+        self._start = offsets.tolist()
+
+    def _hull_edges(self):
+        """Per-edge costs: the edges of each donor's upper (cost, gain) hull.
+
+        Moving a unit of mass from donor (v, u) to a malleable target (k, u)
+        costs w[v, u] + w[k, u] and gains r_out[k] - r_out[v].  The donor's
+        best gain for a given spend is the upper concave hull of its gaining
+        options, from the origin to the best gain; the step is the LP
+        relaxation of a multiple-choice knapsack with one class per donor,
+        which a greedy over these edges solves exactly (Sinha & Zoltners,
+        1979).  Edge e re-routes the donor's mass from hull vertex e's
+        target (the donor itself for e = 0) to vertex e + 1's.  Returns the
+        per-edge arrays (column, rate, donor, edge, source, recipient,
+        cost step).
+        """
+        r, w = self.r_out, self.weights
+        edges = []
+        for v, u in zip(*np.nonzero(self.mask & (self.m0 > 0))):
+            options = [(w[v, u] + w[k, u], r[k] - r[v], k)
+                       for k in np.flatnonzero(self.mask[:, u] & (r > r[v]))]
+            hull, rates = [(0.0, 0.0, v)], []   # vertices (cost, gain, target)
+            # By cost, then decreasing gain, then target: a point no better
+            # than the last vertex is dominated.
+            for c, g, k in sorted(options, key=lambda o: (o[0], -o[1])):
+                if g <= hull[-1][1]:
+                    continue
+                # Drop vertices on or below the new chord; comparing the
+                # stored rates keeps each donor's rates strictly decreasing.
+                while rates and (g - hull[-1][1]) / (c - hull[-1][0]) >= rates[-1]:
+                    hull.pop()
+                    rates.pop()
+                rates.append((g - hull[-1][1]) / (c - hull[-1][0]))
+                hull.append((c, g, k))
+            for e, rate in enumerate(rates):
+                (c0, _, src), (c1, _, dst) = hull[e], hull[e + 1]
+                edges.append((u, rate, v, e, src, dst, c1 - c0))
+        table = np.array(edges, dtype=float).reshape(-1, 7)
+        col, donor, edge, source, recipient = table[:, [0, 2, 3, 4, 5]].astype(np.intp).T
+        return col, table[:, 1], donor, edge, source, recipient, table[:, 6]
 
     @functools.cached_property
     def _cross_pairs(self):
@@ -160,16 +215,13 @@ class WelfareStepSolver:
     def value_block(self, D, budgets) -> np.ndarray:
         """`value` for every (budget, input) pair: a (len(budgets), len(D)) table.
 
-        Bitwise equal to calling `value` per pair.  Weighted costs loop over
-        `value`, which solves the LP; a single pair goes to `value` too, as
-        the heap walk is cheaper than the numpy one there.
+        Bitwise equal to calling `value` per pair.  A single pair goes to
+        `value`, as the heap walk is cheaper than the numpy one there.
         """
         D = np.atleast_2d(np.asarray(D, dtype=float))
         budgets = np.asarray(budgets, dtype=float)
         if not np.all(budgets >= 0):
             raise ValueError(f"budget must be non-negative, got {budgets.min()}")
-        if self.weights is not None:
-            return np.array([[self.value(d, b) for d in D] for b in budgets])
         if D.shape[0] * budgets.size == 1:
             return np.array([[self.value(D[0], budgets[0])]])
         # The stacked product reproduces `col_base @ d` per row bitwise;
@@ -186,14 +238,13 @@ class WelfareStepSolver:
         Bitwise equal to calling `solve` per row.  Moves touch only their own
         column, and `_walk` visits a column's segments in table order, so
         the moves are applied in table order, each only where its take is
-        positive, as `_walk` yields it.  Weighted costs and a single row
-        loop over `solve`.
+        positive, as `_walk` yields it.  A single row goes to `solve`.
         """
         D = np.atleast_2d(np.asarray(D, dtype=float))
         budgets = np.asarray(budgets, dtype=float)
         if not np.all(budgets >= 0):
             raise ValueError(f"budget must be non-negative, got {budgets.min()}")
-        if self.weights is not None or len(D) == 1:
+        if len(D) == 1:
             return np.array([self.solve(d, b).matrix for d, b in zip(D, budgets)])
         m = np.repeat(self.m0[None], len(D), axis=0)
         takes = np.zeros((len(D), len(self._col)))
@@ -204,20 +255,19 @@ class WelfareStepSolver:
             hit = np.flatnonzero(takes[:, s] > 0)
             if not len(hit):
                 continue
-            mass = takes[hit, s] / 2.0
-            u, dv, rv = self._col[s], self._donor[s], self._recipient[s]
-            m[hit, dv, u] -= mass
+            u, sv, rv = self._col[s], self._source[s], self._recipient[s]
+            # The same mass as `solve`.
+            mass = np.minimum(takes[hit, s] / self._dc[s], m[hit, sv, u])
+            m[hit, sv, u] -= mass
             # The same cap at 1 as `solve`.
             m[hit, rv, u] = np.minimum(m[hit, rv, u] + mass, 1.0)
         return m
 
     def value(self, d_in, budget) -> float:
-        """Optimal objective only; no matrix is materialized (unit costs)."""
+        """Optimal objective only; no matrix is materialized."""
         if not budget >= 0:
             raise ValueError(f"budget must be non-negative, got {budget}")
         d_in = np.asarray(d_in, dtype=float)
-        if self.weights is not None:
-            return self.solve(d_in, budget).objective
         obj = float(self.col_base @ d_in)
         for u, s, take in self._walk(d_in, budget):
             obj += self._rate[s] * d_in[u] * take
@@ -227,14 +277,14 @@ class WelfareStepSolver:
         d_in = np.asarray(d_in, dtype=float)
         if not budget >= 0:
             raise ValueError(f"budget must be non-negative, got {budget}")
-        if self.weights is not None:
-            return _epigraph_lp(self.r_out, d_in[None, :], self.m0, self.mask,
-                                budget, self.weights)
         m = self.m0.copy()
         for u, s, take in self._walk(d_in, budget):
-            mass = take / 2.0  # each unit of mass moved costs 2: out and in
-            donor, recipient = self._donor[s], self._recipient[s]
-            m[donor, u] -= mass
+            source, recipient = self._source[s], self._recipient[s]
+            # A unit of mass moved along segment s costs _dc[s].  A full
+            # segment's take / _dc[s] can exceed the source's mass by an
+            # ulp (never with unit costs, where _dc is 2).
+            mass = min(take / self._dc[s], m[source, u])
+            m[source, u] -= mass
             # Input columns may sum to 1 plus an ulp; moving a whole column
             # into one entry must not leave that entry above 1.
             m[recipient, u] = min(m[recipient, u] + mass, 1.0)
@@ -276,15 +326,16 @@ _CROSSING_MERGE_TOL = 1e-12
 
 
 def _two_population_step(solver, a_in, budget) -> LayerStepResult:
-    """Exact unit-cost maximin step for two populations, without an LP.
+    """Exact maximin step for two populations, without an LP.
 
     The step value min_j r_out^T M a_j is bilinear in M and in the population
     weight lam, and both sets are convex and compact, so by the minimax
     theorem it equals the minimum over lam in [0, 1] of the welfare step
     W(lam) = max_M r_out^T M d(lam), d(lam) = lam a_1 + (1 - lam) a_2.  W is
     convex and piecewise linear: the greedy order, and with it the greedy
-    matrix, changes only where two segments of different columns swap rank,
-    so the minimum sits at 0, 1 or one of those crossings.  The greedy
+    matrix, changes only where two segments of different columns swap rank
+    (a column's segments all scale with its input, whatever the cost
+    model), so the minimum sits at 0, 1 or one of those crossings.  The greedy
     matrices of the pieces on either side of the minimizer are both optimal
     there, one favouring each population; their mix that equalizes the two
     population values attains the minimum, and it is feasible because the
@@ -338,8 +389,8 @@ def solve_maximin_step(solver, a_in, budget_step) -> LayerStepResult:
 
     a_in is a (populations, source-layer-size) array of per-population input
     distributions.  One population is the welfare step; two populations
-    with unit costs take the LP-free `_two_population_step`; everything else
-    is the epigraph LP.
+    take the LP-free `_two_population_step`; three or more solve the
+    epigraph LP.
     """
     a_in = np.asarray(a_in, dtype=float)
     # One pass over a_in: a NaN or an infinity anywhere makes the sum non-finite.
@@ -353,8 +404,7 @@ def solve_maximin_step(solver, a_in, budget_step) -> LayerStepResult:
         return solver.solve(a_in[0], budget_step)
     # Without budget, or without a column of >= 2 malleable entries, nothing
     # can move; the epigraph LP returns m0 for those steps unsolved.
-    if (len(a_in) == 2 and solver.weights is None
-            and budget_step > 0 and solver.can_move):
+    if len(a_in) == 2 and budget_step > 0 and solver.can_move:
         return _two_population_step(solver, a_in, budget_step)
     return _epigraph_lp(solver.r_out, a_in, solver.m0, solver.mask, budget_step,
                         solver.weights)
@@ -365,9 +415,9 @@ def _epigraph_lp(r_out, a_in, m0, mask, budget, weights) -> LayerStepResult:
 
     Variables are the entries that can actually vary (malleable, in a column
     with >= 2 malleable entries), listed column by column, then their
-    absolute changes, then v.  With one population this is the welfare step,
-    which is how weighted costs solve it.  Steps with nothing to vary, or no
-    budget, return m0 unsolved.
+    absolute changes, then v.  The maximin step solves it for three or more
+    populations, and the tests check the LP-free steps against it.  Steps
+    with nothing to vary, or no budget, return m0 unsolved.
     """
     movable = np.flatnonzero(mask.sum(axis=0) >= 2)
     if budget == 0 or not len(movable):

@@ -31,7 +31,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import CapacityError
 from .model import Instance, InterventionPlan, MixedPlan
@@ -49,6 +48,13 @@ _SUPPORT_CAP = 500
 # times max|values|^(s - 1) is skipped as singular.
 _CERT_TOL = 1e-12
 _SINGULAR_TOL = 1e-12
+
+
+def linprog(*args, **kwargs):
+    """scipy's `linprog`, imported at the first LP: scipy.optimize is most
+    of the cost of importing pipeopt, and most runs never solve an LP."""
+    from scipy.optimize import linprog as highs
+    return highs(*args, **kwargs)
 
 
 def _column_options(m0col, maskcol, eta, max_units, cap):
@@ -126,7 +132,9 @@ class GridPlanTable:
     kept sorted by cost; a single transition has the empty suffix, one row
     holding the rewards at 0 units.  The first transition is streamed in
     blocks (`blocks`), so a plan is named by (suffix row, first choice).
-    Rows run by first choice, then by suffix cost (a stable sort).
+    Rows run by first choice, then by suffix cost (a stable sort).  One
+    table serves all three oracles: `welfare`, `expost_maximin` and
+    `exante_maximin`.
     """
 
     def __init__(self, instance: Instance, eta: float, cap: int = ORACLE_CAP):
@@ -256,64 +264,79 @@ class GridPlanTable:
         """Per-population values of the row (suffix_row, first_choice)."""
         return self._suffix_values[int(suffix_row)] @ self.layers[0][0][int(first)]
 
+    def welfare(self):
+        """Exact best welfare over the table's plans: (value, plan).
+
+        Ties on welfare prefer lower cost.
+        """
+        d1 = self.instance.initial_distribution
+        value, ident = self.reduce_best(
+            score_fn=lambda vals: _welfare_scores(vals, d1),
+            tie_fn=lambda vals: np.zeros(len(vals)),
+        )
+        return value, self.plan_for(*ident)
+
+    def expost_maximin(self):
+        """Exact best worst-population reward over the table's plans:
+        (value, plan).
+
+        Ties on the maximin value prefer higher welfare, then lower cost, so
+        the returned plan never carries gratuitous spending.
+        """
+        d1 = self.instance.initial_distribution
+        value, ident = self.reduce_best(
+            # Row minima as a chain of column minima: numpy reduces a short
+            # last axis slowly, and a minimum is exact either way.
+            score_fn=lambda vals: functools.reduce(np.minimum, vals.T),
+            tie_fn=lambda vals: _welfare_scores(vals, d1),
+        )
+        return value, self.plan_for(*ident)
+
+    def exante_maximin(self):
+        """Exact best randomized maximin over mixtures of the table's plans.
+
+        Solves max v subject to sum_p lambda_p * reward_j(p) >= v for every
+        population j over the enumerated plan set, as a double oracle.
+        Starting from the instance's own distribution, it adds the table's
+        best plan against the adversary's distribution and re-solves the
+        restricted game (`mixture_game`) for the adversary's optimal reply,
+        until that plan is already in the game or does not beat the game's
+        value.  The table is finite, so this ends, and then no grid plan
+        beats the value against the adversary's reply.  Returns
+        (value, MixedPlan).
+        """
+        game = {}   # (suffix_row, first_choice) -> per-population rewards
+        value, mu = -math.inf, self.instance.initial_distribution
+        while True:
+            score, ident = self.reduce_best(
+                score_fn=lambda vals: _welfare_scores(vals, mu),
+                tie_fn=lambda vals: np.zeros(len(vals)),
+            )
+            if ident in game or score <= value:
+                break
+            game[ident] = self.rewards_for(*ident)
+            value, lam, mu = mixture_game(list(game.values()))
+        support = [(float(w), self.plan_for(*ident))
+                   for w, ident in zip(lam, game) if w > 0]
+        return value, MixedPlan(support=tuple(support))
+
 
 def oracle_welfare(instance: Instance, eta: float, cap: int = ORACLE_CAP):
-    """Exact best welfare over grid plans: (value, plan).
-
-    Ties on welfare prefer lower cost.
-    """
-    table = GridPlanTable(instance, eta, cap)
-    d1 = instance.initial_distribution
-    value, ident = table.reduce_best(
-        score_fn=lambda vals: _welfare_scores(vals, d1),
-        tie_fn=lambda vals: np.zeros(len(vals)),
-    )
-    return value, table.plan_for(*ident)
+    """Exact best welfare over grid plans: (value, plan).  See
+    `GridPlanTable.welfare`."""
+    return GridPlanTable(instance, eta, cap).welfare()
 
 
 def oracle_expost_maximin(instance: Instance, eta: float, cap: int = ORACLE_CAP):
     """Exact best worst-population reward over grid plans: (value, plan).
-
-    Ties on the maximin value prefer higher welfare, then lower cost, so the
-    returned plan never carries gratuitous spending.
-    """
-    table = GridPlanTable(instance, eta, cap)
-    d1 = instance.initial_distribution
-    value, ident = table.reduce_best(
-        # Row minima as a chain of column minima: numpy reduces a short
-        # last axis slowly, and a minimum is exact either way.
-        score_fn=lambda vals: functools.reduce(np.minimum, vals.T),
-        tie_fn=lambda vals: _welfare_scores(vals, d1),
-    )
-    return value, table.plan_for(*ident)
+    See `GridPlanTable.expost_maximin`."""
+    return GridPlanTable(instance, eta, cap).expost_maximin()
 
 
 def oracle_exante_maximin(instance: Instance, eta: float, cap: int = ORACLE_CAP):
-    """Exact best randomized maximin over mixtures of grid plans.
-
-    Solves max v subject to sum_p lambda_p * reward_j(p) >= v for every
-    population j over the enumerated plan set, as a double oracle.  Starting
-    from the instance's own distribution, it adds the table's best plan
-    against the adversary's distribution and re-solves the restricted game
-    (`mixture_game`) for the adversary's optimal reply, until that plan is
-    already in the game or does not beat the game's value.  The table is
-    finite, so this ends, and then no grid plan beats the value against the
-    adversary's reply.  Returns (value, MixedPlan).
-    """
-    table = GridPlanTable(instance, eta, cap)
-    game = {}   # (suffix_row, first_choice) -> per-population rewards
-    value, mu = -math.inf, instance.initial_distribution
-    while True:
-        score, ident = table.reduce_best(
-            score_fn=lambda vals: _welfare_scores(vals, mu),
-            tie_fn=lambda vals: np.zeros(len(vals)),
-        )
-        if ident in game or score <= value:
-            break
-        game[ident] = table.rewards_for(*ident)
-        value, lam, mu = mixture_game(list(game.values()))
-    support = [(float(w), table.plan_for(*ident)) for w, ident in zip(lam, game) if w > 0]
-    return value, MixedPlan(support=tuple(support))
+    """Exact best randomized maximin over mixtures of grid plans:
+    (value, MixedPlan).  See `GridPlanTable.exante_maximin`."""
+    return GridPlanTable(instance, eta, cap).exante_maximin()
 
 
 def mixture_game(values) -> tuple:

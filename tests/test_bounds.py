@@ -65,6 +65,44 @@ class TestFairnessPriceBracket:
             po.price_of_fairness_bracket(inst, 0.1)
 
 
+def _uniform_weights(inst, weight):
+    """`inst` with every edge's cost weight set to `weight`."""
+    weights = tuple(np.full_like(m, weight) for m in inst.initial_matrices)
+    return po.make_instance(
+        inst.layer_sizes, inst.initial_matrices, inst.rewards,
+        inst.initial_distribution, inst.budget, inst.malleable,
+        cost_model=po.CostModel("weighted_l1", weights),
+    )
+
+
+class TestWeightedCostBounds:
+    """The bounds scale the budget by the cheapest or dearest edge weight."""
+
+    def test_cheap_edges_raise_the_ceiling(self):
+        # Weight 0.25 turns budget 0.4 into 1.6 of change: the welfare DP
+        # reaches 0.64, above the unit-cost ceiling 0.2 but not the 0.8 here.
+        inst = _uniform_weights(po.fairness_price_instance(3, 0.1, 0.4), 0.25)
+        report, plan = po.solve_social_welfare(inst, 0.05)
+        assert report.objective_value == pytest.approx(0.64, abs=1e-9)
+        assert po.welfare_upper_bound(inst) == pytest.approx(0.8, abs=1e-12)
+        checks = {c.name: c for c in po.check_plan_bounds(inst, plan)}
+        assert checks["welfare_upper_bound"].passed
+
+    def test_dear_edges_lower_the_floor(self):
+        # Weight 4 turns budget 0.4 into 0.1 of change, shared by three
+        # populations: 1/60, which the maximin DP attains, not 1/15.
+        inst = _uniform_weights(po.fairness_price_instance(3, 0.1, 0.4), 4.0)
+        report, _ = po.solve_expost_maximin(inst, 0.05)
+        assert report.objective_value == pytest.approx(1 / 60, abs=1e-9)
+        assert po.maximin_lower_bound(inst) == pytest.approx(1 / 60, abs=1e-12)
+        assert report.objective_value >= po.maximin_lower_bound(inst) - 1e-9
+
+    def test_fairness_bracket_refuses_weighted_costs(self):
+        inst = _uniform_weights(po.fairness_price_instance(3, 0.1, 0.4), 2.0)
+        with pytest.raises(ValueError, match="unit"):
+            po.price_of_fairness_bracket(inst, 0.05)
+
+
 class TestPlanAudits:
     def test_zero_budget_plan_passes_upper_bound(self):
         inst = po.random_instance(6, 2, 3, 1.0, 1.0)

@@ -1,6 +1,10 @@
 """Serialization round-trips and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ import pytest
 import pipeopt as po
 from pipeopt.cli import main
 from pipeopt.errors import InputError
+from pipeopt.oracle import GridPlanTable
 from pipeopt.serialize import (
     instance_from_dict,
     instance_to_dict,
@@ -240,6 +245,45 @@ class TestCli:
         assert out["maximin_lower_bound"] == pytest.approx(1 / 6)
         assert out["fairness_price"]["upper"] == pytest.approx(4.0)
 
+    def test_bounds_command_weighted(self, capsys, tmp_path, contrast_file):
+        # Weights 1 and one 2: the ceiling prices change at the cheapest
+        # edge, the floor at the dearest.  The fairness-price bracket is for
+        # unit costs, so it is left out with a note.
+        path = _mutate(contrast_file, tmp_path, lambda d: _weighted(d, 2.0))
+        code, out = run_cli(capsys, "bounds", "--instance", path,
+                            "--epsilon", "0.05")
+        assert code == 0
+        assert out["welfare_upper_bound"] == pytest.approx(0.5)
+        assert out["maximin_lower_bound"] == pytest.approx(1 / 12)
+        assert "fairness_price" not in out
+        assert "unit" in out["note"]
+
+    def test_oracle_builds_one_table(self, capsys, tmp_path, monkeypatch):
+        # All three objectives read one table, and report what the library
+        # oracles, each on its own table, return.
+        inst = po.separation_instance(0.6)
+        sep = str(tmp_path / "sep.json")
+        po.save_instance(inst, sep)
+        builds = []
+        init = GridPlanTable.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GridPlanTable, "__init__", counted)
+        code, out = run_cli(capsys, "oracle", "--instance", sep, "--grid", "0.1")
+        assert code == 0 and len(builds) == 1
+        value, plan = po.oracle_welfare(inst, 0.1)
+        assert out["welfare"] == {"value": value,
+                                  "budget_used": plan.total_cost(inst)}
+        value, plan = po.oracle_expost_maximin(inst, 0.1)
+        assert out["expost_maximin"] == {"value": value,
+                                         "budget_used": plan.total_cost(inst)}
+        value, mixture = po.oracle_exante_maximin(inst, 0.1)
+        assert out["exante_maximin"] == {"value": value,
+                                         "support_size": len(mixture.support)}
+
     def test_threads_flag_rejected(self, capsys, contrast_file):
         # The solvers are sequential; a flag that changed nothing is gone.
         with pytest.raises(SystemExit) as exc:
@@ -281,6 +325,29 @@ NON_FINITE = {
     "weight_nan": lambda d: _weighted(d, float("nan")),
     "weight_inf": lambda d: _weighted(d, float("inf")),
 }
+
+
+def test_no_lp_no_scipy_optimize(tmp_path):
+    # scipy.optimize is imported at the first LP; importing the CLI and a
+    # weighted welfare solve, all greedy, must not import it.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import pipeopt.cli\n"
+        "import pipeopt as po\n"
+        "inst = po.random_instance(7, 2, 3, 1.0, 1.0)\n"
+        "weights = tuple(np.full_like(m, 1.5) for m in inst.initial_matrices)\n"
+        "inst = po.make_instance(inst.layer_sizes, inst.initial_matrices,\n"
+        "    inst.rewards, inst.initial_distribution, inst.budget, inst.malleable,\n"
+        "    cost_model=po.CostModel('weighted_l1', weights))\n"
+        "po.solve_social_welfare(inst, 0.1)\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    src = Path(po.__file__).resolve().parent.parent
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 class TestInputRefusal:

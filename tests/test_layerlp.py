@@ -15,6 +15,15 @@ PLUS_ULP_COLUMN = np.array([[0.458927283687728], [0.2829261192379251],
                             [0.0], [0.258146597074347]])
 
 
+# (r_out, m0, weights) of a weighted step whose donors (row 0, which holds
+# all the mass) can buy the cheap, mediocre row 1 at 1 per unit of mass for
+# a gain of 0.6, or the dear, good row 2 at 2 for a gain of 1.  The hull
+# buys row 1 first (rate 0.6), then re-routes that mass to row 2 (rate 0.4).
+HULL_CASE = (np.array([0.0, 0.6, 1.0]),
+             np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]),
+             np.array([[0.5, 0.5], [0.5, 0.5], [1.5, 1.5]]))
+
+
 def random_step(width_out, width_in, mask_p=1.0, weighted=False):
     m0 = rng.random((width_out, width_in))
     m0 /= m0.sum(axis=0, keepdims=True)
@@ -154,6 +163,27 @@ class TestWelfareStep:
             assert np.all(m >= -1e-12) and np.all(m <= 1 + 1e-12)
             np.testing.assert_array_equal(m[~mask], m0[~mask])
             assert float((np.abs(m - m0) * weights).sum()) <= budget + 1e-7
+
+    @pytest.mark.parametrize("budget, value, column", [
+        (0.5, 0.3, [0.5, 0.5, 0.0]),   # half the mass bought at row 1
+        (1.0, 0.6, [0.0, 1.0, 0.0]),   # all of it at row 1
+        (1.5, 0.8, [0.0, 0.5, 0.5]),   # half re-routed to row 2
+        (2.0, 1.0, [0.0, 0.0, 1.0]),   # all of it at row 2
+        (3.0, 1.0, [0.0, 0.0, 1.0]),   # nothing left to buy
+    ])
+    def test_weighted_hull_reroutes_cheap_mass(self, budget, value, column):
+        r_out, m0, weights = HULL_CASE
+        solver = WelfareStepSolver(r_out, m0, np.ones_like(m0, dtype=bool), weights)
+        # Column 1 gets no input, so only column 0 moves.
+        res = solver.solve(np.array([1.0, 0.0]), budget)
+        assert res.objective == pytest.approx(value, abs=1e-15)
+        np.testing.assert_allclose(res.matrix[:, 0], column, atol=1e-15)
+        np.testing.assert_array_equal(res.matrix[:, 1], m0[:, 1])
+        spent = float((weights * np.abs(res.matrix - m0)).sum())
+        assert spent == pytest.approx(min(budget, 2.0), abs=1e-15)
+        assert res.objective == pytest.approx(welfare_step_by_linprog(
+            r_out, np.array([1.0, 0.0]), m0, np.ones_like(m0, dtype=bool),
+            budget, weights), abs=1e-9)
 
     def test_whole_column_moved_stays_at_most_one(self):
         # This column sums to 1 plus an ulp; gathering all of it into the
@@ -331,9 +361,27 @@ def two_population_steps(draw):
     return r_out, a_in, m0, mask, budget
 
 
+def _weights(draw, shape):
+    """Per-edge cost weights: integers 1..3, which make ties likely, or
+    floats in [0.25, 3]."""
+    size = int(np.prod(shape))
+    cell = st.integers(1, 3) if draw(st.booleans()) else st.floats(0.25, 3.0)
+    cells = draw(st.lists(cell, min_size=size, max_size=size))
+    return np.array(cells, dtype=float).reshape(shape)
+
+
+@st.composite
+def weighted_two_population_steps(draw):
+    """(r_out, a_in, m0, mask, budget, weights): a two-population step with
+    per-edge cost weights."""
+    r_out, a_in, m0, mask, budget = draw(two_population_steps())
+    return r_out, a_in, m0, mask, budget, _weights(draw, m0.shape)
+
+
 @st.composite
 def greedy_blocks(draw):
-    """(r_out, m0, mask, D, budgets) for the block greedy: D is (inputs, cols)."""
+    """(r_out, m0, mask, D, budgets, weights) for the block greedy: D is
+    (inputs, cols); weights is None (unit costs) half the time."""
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     m0 = _stochastic(_counts(draw, (rows, cols)))
     r_out = _counts(draw, (rows,))
@@ -343,13 +391,15 @@ def greedy_blocks(draw):
         mask[:] = True
     d_in = _stochastic(_counts(draw, (cols, draw(st.integers(1, 3))))).T
     budgets = np.array(draw(st.lists(st.floats(0, 2.5), min_size=1, max_size=3)))
-    return r_out, m0, mask, d_in, budgets
+    weights = _weights(draw, (rows, cols)) if draw(st.booleans()) else None
+    return r_out, m0, mask, d_in, budgets, weights
 
 
-def _block_case(r_out, m0, d_in, budgets):
+def _block_case(r_out, m0, d_in, budgets, weights=None):
     m0 = np.asarray(m0, dtype=float)
     return (np.asarray(r_out, dtype=float), m0, np.ones(m0.shape, dtype=bool),
-            np.asarray(d_in, dtype=float), np.asarray(budgets, dtype=float))
+            np.asarray(d_in, dtype=float), np.asarray(budgets, dtype=float),
+            None if weights is None else np.asarray(weights, dtype=float))
 
 
 class TestBlockGreedy:
@@ -376,9 +426,13 @@ class TestBlockGreedy:
                          [2.0, 3.0]))
     # A solver with no segments.
     @example(_block_case([0.7], [[1.0, 1.0]], [[0.4, 0.6]], [0.0, 1.0]))
+    # Weighted: every donor's hull has two edges, the second re-routing mass
+    # bought on the first; budgets inside each edge and past both.
+    @example(_block_case(*HULL_CASE[:2], [[0.5, 0.5], [1.0, 0.0]],
+                         [0.5, 1.5, 3.0], HULL_CASE[2]))
     def test_blocks_equal_scalar(self, case):
-        r_out, m0, mask, d_in, budgets = case
-        solver = WelfareStepSolver(r_out, m0, mask)
+        r_out, m0, mask, d_in, budgets, weights = case
+        solver = WelfareStepSolver(r_out, m0, mask, weights)
         values = solver.value_block(d_in, budgets)
         assert np.array_equal(
             values, [[solver.value(d, b) for d in d_in] for b in budgets])
@@ -483,11 +537,31 @@ class TestTwoPopulationDualStep:
         ref = _epigraph_lp(r_out, a_in, m0, mask, budget, None)
         assert res.objective == pytest.approx(ref.objective, abs=1e-9)
 
-    def test_weighted_costs_keep_the_lp(self):
+    def test_weighted_costs_take_the_dual_step(self):
         r_out, _, m0, mask, weights = random_step(3, 2, weighted=True)
         solver = WelfareStepSolver(r_out, m0, mask, weights)
         res = solve_maximin_step(solver, np.eye(2), 0.5)
-        assert res.path == "lp"
+        assert res.path == "dual"
+        ref = _epigraph_lp(r_out, np.eye(2), m0, mask, 0.5, weights)
+        assert res.objective == pytest.approx(ref.objective, abs=1e-9)
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(weighted_two_population_steps())
+    def test_weighted_matches_lp_and_is_feasible(self, step):
+        r_out, a_in, m0, mask, budget, weights = step
+        solver = WelfareStepSolver(r_out, m0, mask, weights)
+        res = solve_maximin_step(solver, a_in, budget)
+        assert res.path in ("dual", "initial")
+        ref = welfare_step_by_linprog(r_out, a_in, m0, mask, budget, weights)
+        assert res.objective == pytest.approx(ref, abs=1e-7)
+        lp = _epigraph_lp(r_out, a_in, m0, mask, budget, weights)
+        assert res.objective >= lp.objective - 1e-9
+        m = res.matrix
+        np.testing.assert_allclose(m.sum(axis=0), 1.0, atol=1e-12)
+        assert np.all(m >= 0.0) and np.all(m <= 1.0)
+        assert float((weights * np.abs(m - m0)).sum()) <= budget + 1e-9
+        np.testing.assert_array_equal(m[~mask], m0[~mask])
+        assert res.objective == float(((r_out @ m) @ a_in.T).min())
 
 
 class TestCostModel:
