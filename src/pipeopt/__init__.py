@@ -25,12 +25,7 @@ from .model import (
     welfare,
     zero_budget_plan,
 )
-from .netgrid import (
-    BudgetGrid,
-    SimplexNet,
-    build_budget_grid,
-    build_simplex_net,
-)
+from .netgrid import build_budget_grid, build_simplex_net
 from .layerlp import (
     LayerStepResult,
     WelfareStepSolver,

@@ -2,11 +2,14 @@
 
 `BackwardDP` is the engine.  A memo cell is (layer, remaining-budget grid
 point, guessed distribution per tracked population), the guesses being
-points of a simplex net.  The step is symmetric in the populations, so a
-cell tracks a multiset of net points: each layer's multiset table holds the
-sorted net-index rows in lexicographic order, C(n+p-1, p) rows for an
-n-point net and p populations, and cell `row * g + budget index` pairs a row
-with one of the g budget grid points.  Only the step differs between
+rows of a simplex net.  The budget grid (`self.grid`, ascending) and each
+layer's net (`self.nets[t]`, one distribution per row) are plain arrays
+from `netgrid`.  The step is symmetric in the populations, so a cell tracks
+a multiset of net points: each layer's multiset table is
+`netgrid.multisets(n, p)`, the sorted net-index rows in lexicographic order,
+C(n+p-1, p) rows for an n-point net and p populations, from the enumerator
+that also builds the nets.  Cell `row * g + budget index` pairs a row with
+one of the g budget grid points.  Only the step differs between
 objectives: a subclass supplies the number of populations and the step hooks.
 
 Each built layer becomes one list of continuation candidates (next budget
@@ -44,7 +47,6 @@ continuation groups and the (cell, candidate) pairs the build priced.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 
@@ -59,7 +61,7 @@ from .model import (
     evaluate_population_rewards,
 )
 from .netgrid import (budget_grid_size, build_budget_grid, build_simplex_net,
-                      net_units, simplex_grid_size)
+                      multisets, net_units, simplex_grid_size)
 
 DEFAULT_CELLS_CAP = 10_000_000
 _GROUP_DECIMALS = 12
@@ -68,28 +70,15 @@ _GROUP_DECIMALS = 12
 _BLOCK_ROWS = 2048
 
 
-def _net_radius(epsilon: float) -> float:
-    """Net radius for step epsilon: no two distributions lie more than 2 apart
-    in l1, so a coarser step needs no coarser net."""
-    return min(epsilon, 2.0)
-
-
 def dp_cell_count(instance: Instance, epsilon: float, pops: int) -> int:
     """Predicted memo size of a DP tracking `pops` populations, without building."""
     grid_points = budget_grid_size(instance.budget, epsilon)
     cells = 0
     for t in range(1, instance.depth - 1):
         d = instance.layer_sizes[t]
-        n = simplex_grid_size(d, net_units(d, _net_radius(epsilon)))
+        n = simplex_grid_size(d, net_units(d, epsilon))
         cells += math.comb(n + pops - 1, pops) * grid_points
     return max(cells, grid_points)
-
-
-def _multisets(n: int, pops: int) -> np.ndarray:
-    """Every size-`pops` multiset of range(n) as a sorted row, lexicographic."""
-    rows = itertools.combinations_with_replacement(range(n), pops)
-    return np.fromiter(itertools.chain.from_iterable(rows),
-                       dtype=np.int64).reshape(-1, pops)
 
 
 class BackwardDP:
@@ -125,8 +114,8 @@ class BackwardDP:
         for t in range(1, instance.depth - 1):
             d = instance.layer_sizes[t]
             if d not in nets_by_dim:
-                net = build_simplex_net(d, _net_radius(epsilon))
-                nets_by_dim[d] = net, _multisets(len(net), self.pops)
+                net = build_simplex_net(d, epsilon)
+                nets_by_dim[d] = net, multisets(len(net), self.pops)
             self.nets[t], self._table[t] = nets_by_dim[d]
         self.cells_built = 0
         self.profile = {}   # layer -> {cells, groups, priced_pairs} of the build
@@ -182,7 +171,6 @@ class BackwardDP:
         of pairs priced.
         """
         g = len(self.grid)
-        pts = self.grid.points
         n = len(a_in)
         best = np.full((g - lo, n), -np.inf)
         winner = np.zeros((g - lo, n), dtype=np.int64)
@@ -191,7 +179,7 @@ class BackwardDP:
         for c, (b_next, next_cell, r_out) in enumerate(self._candidates[t]):
             solver = self._solver_for(t, next_cell, r_out)
             first = max(b_next, lo)
-            budgets = pts[first:] - pts[b_next]
+            budgets = self.grid[first:] - self.grid[b_next]
             for j in range(0, n, _BLOCK_ROWS):
                 cols = slice(j, j + _BLOCK_ROWS)
                 values, mats = self._price_block(solver, a_in[cols], budgets)
@@ -216,9 +204,8 @@ class BackwardDP:
         """
         inst = self.instance
         g = len(self.grid)
-        pts = self.grid.points
         for t in range(inst.depth - 2, 0, -1):
-            a_in = self.nets[t].points[self._table[t]]
+            a_in = self.nets[t][self._table[t]]
             n = len(a_in)
             candidates = self._candidates[t]
             _, winner, kept, priced = self._price_layer(t, a_in)
@@ -237,7 +224,7 @@ class BackwardDP:
                     else:
                         mats = self._solve_block(
                             self._solver_for(t, next_cell, r_out), a_in[j],
-                            pts[bi] - pts[b_next])
+                            self.grid[bi] - self.grid[b_next])
                     rvec[j, bi] = r_out @ mats
             self._rvec[t] = rvec.reshape(n * g, -1)
             self._choice[t] = winner.T.ravel()
@@ -264,7 +251,7 @@ class BackwardDP:
         mats, split = [], []
         while True:
             b_next, next_cell, r_out = self._candidates[t][c]
-            step_budget = self.grid.value(bi) - self.grid.value(b_next)
+            step_budget = float(self.grid[bi] - self.grid[b_next])
             if matrix is None:
                 matrix = self._solve_block(self._solver_for(t, next_cell, r_out),
                                            a_in[None], np.array([step_budget]))[0]
@@ -273,7 +260,7 @@ class BackwardDP:
             if t == inst.depth - 2:
                 break
             t, bi = t + 1, b_next
-            a_in = self.nets[t].points[self._table[t][next_cell // g]]
+            a_in = self.nets[t][self._table[t][next_cell // g]]
             c, matrix = self._choice[t][next_cell], None
         plan = InterventionPlan(matrices=tuple(mats), budget_split=tuple(split))
         return float(best[0, 0]), plan
@@ -282,7 +269,7 @@ class BackwardDP:
         return {
             "epsilon": self.epsilon,
             "budget_grid_points": len(self.grid),
-            "budget_grid_top": self.grid.top,
+            "budget_grid_top": float(self.grid[-1]),
             "net_sizes": {t: len(n) for t, n in self.nets.items()},
             "cells": self.cells_built,
             "profile": self.profile,

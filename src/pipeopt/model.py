@@ -9,6 +9,7 @@ matrices with new ones, paying for every unit of probability mass it moves.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -48,7 +49,8 @@ class CostModel:
 
     def __post_init__(self):
         if self.kind not in ("l1", "weighted_l1"):
-            raise ValueError(f"unknown cost model kind {self.kind!r}")
+            raise ValueError(f"unknown cost_model kind {self.kind!r}; "
+                             "expected 'l1' or 'weighted_l1'")
         if self.kind == "weighted_l1":
             if self.weights is None:
                 raise ValueError("weighted_l1 requires weight matrices")
@@ -119,15 +121,23 @@ def make_instance(
     malleable: Optional[Sequence] = None,
     cost_model: CostModel = L1_COST,
 ) -> Instance:
-    """Assemble an Instance from plain sequences; mask defaults to all-true."""
-    sizes = tuple(int(s) for s in layer_sizes)
+    """Assemble an Instance from plain sequences; mask defaults to all-true.
+
+    Layer sizes must be integers; an integral float such as 3.0 is accepted.
+    """
+    sizes = []
+    for t, s in enumerate(layer_sizes):
+        if not (isinstance(s, numbers.Integral)
+                or isinstance(s, float) and s.is_integer()):
+            raise ValueError(f"layers[{t}] = {s!r} is not an integer")
+        sizes.append(int(s))
     mats = tuple(_as_matrix(m) for m in initial_matrices)
     if malleable is None:
         masks = tuple(np.ones_like(m, dtype=bool) for m in mats)
     else:
         masks = tuple(np.asarray(m, dtype=bool) for m in malleable)
     return Instance(
-        layer_sizes=sizes,
+        layer_sizes=tuple(sizes),
         initial_matrices=mats,
         malleable=masks,
         rewards=_as_vector(rewards),

@@ -52,15 +52,16 @@ def instance_to_dict(instance: Instance) -> dict:
     return out
 
 
+def _json_object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def instance_from_dict(data: dict) -> Instance:
+    cm_data = _json_object(_json_object(data, "instance").get("cost_model", {}),
+                           "cost_model")
     try:
-        cm_data = data.get("cost_model", {"kind": "l1"})
-        if cm_data.get("kind", "l1") == "weighted_l1":
-            cm = CostModel("weighted_l1", tuple(
-                np.asarray(w, dtype=float) for w in cm_data["weights"]
-            ))
-        else:
-            cm = CostModel("l1")
         instance = make_instance(
             layer_sizes=data["layers"],
             initial_matrices=data["transitions"],
@@ -68,7 +69,7 @@ def instance_from_dict(data: dict) -> Instance:
             initial_distribution=data["initial_distribution"],
             budget=data["budget"],
             malleable=data.get("malleable"),
-            cost_model=cm,
+            cost_model=CostModel(cm_data.get("kind", "l1"), cm_data.get("weights")),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed instance data: {exc}") from exc

@@ -327,6 +327,20 @@ NON_FINITE = {
 }
 
 
+MALFORMED = {
+    # A misspelled kind was once read as unit costs.
+    "unknown_kind": (lambda d: d.__setitem__("cost_model", {
+        "kind": "weighted-l1", "weights": [[[2, 2, 2], [2, 2, 2]]]}),
+        "cost_model kind 'weighted-l1'"),
+    "top_level_array": (lambda d: [d], "instance must be a JSON object"),
+    "cost_model_string": (lambda d: d.__setitem__("cost_model", "l1"),
+                          "cost_model must be a JSON object"),
+    # A fractional layer size was once truncated.
+    "fractional_layer": (lambda d: d.__setitem__("layers", [3.7, 2]),
+                         "layers[0] = 3.7 is not an integer"),
+}
+
+
 def test_no_lp_no_scipy_optimize(tmp_path):
     # scipy.optimize is imported at the first LP; importing the CLI and a
     # weighted welfare solve, all greedy, must not import it.
@@ -367,6 +381,36 @@ class TestInputRefusal:
         assert code == 2
         assert captured.out == ""
         assert "not finite" in captured.err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    @pytest.mark.parametrize("command", ["validate", "solve-welfare"])
+    def test_malformed_instance_exits_2(self, tmp_path, contrast_file, case,
+                                        command):
+        edit, message = MALFORMED[case]
+        data = json.load(open(contrast_file))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(data) or data))
+        argv = [command, "--instance", str(bad)]
+        if command != "validate":
+            argv += ["--epsilon", "0.05"]
+        src = Path(po.__file__).resolve().parent.parent
+        run = subprocess.run([sys.executable, "-m", "pipeopt.cli", *argv],
+                             cwd=tmp_path, capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert message in run.stderr
+        assert "Traceback" not in run.stderr
+
+    def test_integral_float_layer_sizes_accepted(self, capsys, tmp_path,
+                                                 contrast_file):
+        data = json.load(open(contrast_file))
+        data["layers"] = [3.0, 2.0]
+        path = tmp_path / "float_layers.json"
+        path.write_text(json.dumps(data))
+        code, out = run_cli(capsys, "validate", "--instance", str(path))
+        assert code == 0
+        assert out["valid"] is True
 
     def test_gen_non_finite_budget_exits_2(self, capsys, tmp_path):
         out = tmp_path / "sep.json"

@@ -210,7 +210,7 @@ def reference_scan(dp, t, a_in, bi, solvers):
     for c, (b_next, next_cell, r_out) in enumerate(dp._candidates[t]):
         if b_next > bi:
             break
-        budget = dp.grid.value(bi) - dp.grid.value(b_next)
+        budget = float(dp.grid[bi] - dp.grid[b_next])
         if isinstance(dp, po.MaximinDP):
             # A fresh solver per step, against the DP's one per continuation.
             res = solve_maximin_step(WelfareStepSolver(r_out, m0, mask, weights),
@@ -225,7 +225,7 @@ def reference_scan(dp, t, a_in, bi, solvers):
     value, c, matrix = best
     if matrix is None:
         b_next, next_cell, _ = dp._candidates[t][c]
-        budget = dp.grid.value(bi) - dp.grid.value(b_next)
+        budget = float(dp.grid[bi] - dp.grid[b_next])
         matrix = solvers[t, next_cell].solve(a_in[0], budget).matrix
     return value, c, matrix
 
@@ -256,7 +256,7 @@ class TestBlockBuild:
             assert len(rvec) == len(table) * g
             for cell in range(len(rvec)):
                 row, bi = divmod(cell, g)
-                a_in = dp.nets[t].points[table[row]]
+                a_in = dp.nets[t][table[row]]
                 _, c, m = reference_scan(dp, t, a_in, bi, solvers)
                 assert c == dp._choice[t][cell]
                 assert np.array_equal(rvec[cell], dp._candidates[t][c][2] @ m)
