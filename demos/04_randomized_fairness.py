@@ -9,11 +9,11 @@ Randomizing 50/50 between the two concentrated plans gives every population
 the average of the two outcomes, which no single feasible plan matches.
 
 The solver is a double oracle: it keeps a restricted game over the
-best-response plans found so far, solves it exactly with one LP, and asks a
-welfare solver for the best response to the adversary's optimal
-distribution over starting populations, until no response improves on the
-game.  The returned mixture carries the LP's weights, and the last response
-certifies an upper bound on the optimum.  Multiplicative-weights dynamics
+best-response plans found so far, solves it exactly by support enumeration
+(no LP), and asks a welfare solver for the best response to the adversary's
+optimal distribution over starting populations, until no response improves
+on the game.  The returned mixture carries the game's optimal weights, and
+the last response certifies an upper bound on the optimum.  Multiplicative-weights dynamics
 (500 rounds here) seed the game; their trace carries a regret certificate.
 """
 

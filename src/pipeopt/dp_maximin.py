@@ -4,10 +4,11 @@
 population per first-layer node: a cell guesses one distribution per
 population (a tuple of simplex-net points), and the connecting transition is
 priced by the maximin step that maximizes the worst population's value
-(`solve_maximin_step`, given the engine's solver for the continuation:
-LP-free for two populations, an epigraph LP for three or more, with unit or
-weighted costs alike).  At the first layer the population tuple is exact:
-each population sits on its own starting node.
+(`solve_maximin_step`, given the engine's solver for the continuation: a
+breakpoint search for two populations, a double oracle over greedy matrices
+for three or more, with unit or weighted costs alike, and no LP).  At the
+first layer the population tuple is exact: each population sits on its own
+starting node.
 
 The step is symmetric in the populations, so a cell tracks a multiset of
 net points: C(n+p-1, p) multisets for an n-point net and p populations.
@@ -46,7 +47,7 @@ class MaximinDP(BackwardDP):
         return res
 
     def _price_block(self, solver, a_in, budgets):
-        # Every step is an LP or dual solve that makes its matrix anyway;
+        # Every step is a dual or game solve that makes its matrix anyway;
         # handing them all back means no cell is solved twice.
         steps = [[self._step(solver, a, float(b)) for a in a_in]
                  for b in budgets]
@@ -65,7 +66,7 @@ class MaximinDP(BackwardDP):
         return {
             **super().meta(),
             "population_tuples": {t: len(self._table[t]) for t in self.nets},
-            "step_calls": {"dual": 0, "lp": 0, **self.step_calls},
+            "step_calls": {"dual": 0, "game": 0, **self.step_calls},
         }
 
 

@@ -5,8 +5,8 @@ population, the designer picks a feasible intervention.  The designer's best
 response to any adversary distribution is one query into the welfare DP,
 whose memo is built once.  A few rounds of multiplicative weights (one by
 default) seed a restricted game with their responses.  The double oracle
-(McMahan, Gordon & Blum 2003) then solves the restricted game exactly
-(`oracle.mixture_game`, by support enumeration while the game is small),
+(`oracle.double_oracle`; McMahan, Gordon & Blum 2003) then solves the
+restricted game exactly (`oracle.mixture_game`, by support enumeration),
 asks the DP for a best response to the adversary's optimal distribution,
 and adds it, until that response gains nothing over the restricted game's
 value.  The DP's plan set is finite, so this ends.
@@ -32,7 +32,7 @@ from .model import (
 )
 from .dp_welfare import WelfareDP, dp_cell_count
 from .netgrid import budget_grid_size
-from .oracle import mixture_game
+from .oracle import double_oracle
 
 DEFAULT_BR_CELLS_CAP = 50_000
 _CACHE_DECIMALS = 12
@@ -150,9 +150,11 @@ def solve_exante_maximin(instance: Instance, epsilon: float, rounds: int | None 
     eps_br, coarsened = _effective_br_epsilon(instance, requested, br_cells_cap)
     dp = WelfareDP(instance, eps_br, cells_cap=max(br_cells_cap, 1))
 
+    plans = {}  # plan key -> plan, for every response found
     cache = {}
 
     def respond(dist):
+        """(plan key, exact per-population rewards, value against dist)."""
         key = tuple(np.round(dist, _CACHE_DECIMALS))
         hit = cache.get(key)
         if hit is None:
@@ -161,40 +163,34 @@ def solve_exante_maximin(instance: Instance, epsilon: float, rounds: int | None 
                 tuple(m.tobytes() for m in plan.matrices),
                 tuple(plan.budget_split),
             )
-            hit = cache[key] = (plan, evaluate_population_rewards(instance, plan), plan_key)
-        return hit
+            plans.setdefault(plan_key, plan)
+            hit = cache[key] = (plan_key, evaluate_population_rewards(instance, plan))
+        plan_key, rewards = hit
+        return plan_key, rewards, float(rewards @ dist)
 
     reward_sup = instance.reward_sup
     trace = DynamicsTrace(beta=beta, br_epsilon=eps_br, requested_br_epsilon=requested)
-    game = {}  # plan key -> (plan, exact per-population rewards), in order found
+    game = {}  # plan key -> exact per-population rewards, in order found
     dist = np.full(pops, 1.0 / pops)
     for rnd in range(t_max):
-        plan, rewards, plan_key = respond(dist)
-        game.setdefault(plan_key, (plan, rewards))
+        plan_key, rewards, br_value = respond(dist)
+        game.setdefault(plan_key, rewards)
         utilities = rewards / reward_sup if reward_sup > 0 else np.zeros_like(rewards)
         trace.rounds.append(RoundRecord(
             index=rnd,
             adversary=dist.copy(),
-            br_value=float(rewards @ dist),
+            br_value=br_value,
             rewards=rewards,
             utilities=utilities,
-            plan=plan,
+            plan=plans[plan_key],
         ))
         if pops >= 2 and rnd + 1 < t_max:
             dist = mw_update(dist, utilities, beta)
 
-    for iterations in range(1, ORACLE_MAX_ITERATIONS + 1):
-        rows = list(game.values())
-        value, lam, mu = mixture_game([r for _, r in rows])
-        plan, rewards, plan_key = respond(mu)
-        br_value = float(rewards @ mu)
-        converged = br_value <= value + ORACLE_TOL or plan_key in game
-        if converged:
-            break
-        game[plan_key] = (plan, rewards)
-
+    _, lam, _, keys, br_value, iterations, converged = double_oracle(
+        respond, game, ORACLE_TOL, ORACLE_MAX_ITERATIONS)
     mixture = MixedPlan(support=tuple(
-        (float(lam[i]), rows[i][0]) for i in np.flatnonzero(lam)
+        (float(lam[i]), plans[keys[i]]) for i in np.flatnonzero(lam)
     ))
     avg_rewards, objective = evaluate_mixed(instance, mixture)
     br_slack = 3 * (instance.depth - 1) * eps_br * reward_sup

@@ -23,14 +23,14 @@ with), and the two-population maximin step.  The scalar walk serves the
 blocks of a single pair (a DP query's steps) and the tests, as the reference
 the block forms are checked against.
 
-The maximin step couples populations.  With two populations it needs no LP:
-by the minimax theorem its value is the smallest welfare-step value over
-mixtures of the two population inputs, found exactly at a breakpoint of the
-greedy order, and the optimal matrix mixes the greedy matrices on either
-side of that breakpoint (`_two_population_step`).  With three or more
-populations it solves one epigraph LP, `_epigraph_lp` (HiGHS via scipy,
-imported at the first LP), which also serves as the reference that tests
-check the LP-free steps against.  Every step reports the exact
+The maximin step couples populations, and needs no LP either.  By the
+minimax theorem its value is the smallest welfare-step value over mixtures
+of the population inputs.  With two populations that minimum sits exactly at
+a breakpoint of the greedy order, and the optimal matrix mixes the greedy
+matrices on either side of it (`_two_population_step`).  With three or more
+the step is a zero-sum game between the designer's greedy matrices and the
+adversary's population mix, solved by `oracle.double_oracle` (Kelley's
+cutting planes, in game form: `_game_step`).  Every step reports the exact
 worst-population value of the matrix it returns.
 
 Both dynamic programs build one solver per continuation (r_out and the
@@ -47,12 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-def linprog(*args, **kwargs):
-    """scipy's `linprog`, imported at the first LP: scipy.optimize is most
-    of the cost of importing pipeopt, and most runs never solve an LP."""
-    from scipy.optimize import linprog as highs
-    return highs(*args, **kwargs)
+# `linprog` is not called here; the traced benchmark wraps it by this name.
+from .oracle import double_oracle, linprog  # noqa: F401
 
 
 @dataclass
@@ -60,7 +56,7 @@ class LayerStepResult:
     matrix: np.ndarray
     objective: float
     # How the step was priced: "initial" (nothing to move, m0 returned),
-    # "greedy", "dual" (two-population minimax) or "lp".
+    # "greedy", "dual" (two-population minimax) or "game" (three or more).
     path: str
 
 
@@ -292,33 +288,6 @@ class WelfareStepSolver:
         return LayerStepResult(matrix=m, objective=obj, path="greedy")
 
 
-def _repair_columns(m, m0, mask, weights, budget):
-    """Restore exact stochasticity and budget feasibility after an LP solve.
-
-    Free (malleable) entries are rescaled so each column sums to exactly 1;
-    frozen entries are copied bitwise from m0.  If the rounded solution
-    overspends, all deltas shrink toward m0 multiplicatively, which preserves
-    stochasticity and the mask.
-    """
-    m = np.clip(m, 0.0, None)
-    out = m0.copy()
-    for u in range(m0.shape[1]):
-        free = np.flatnonzero(mask[:, u])
-        if len(free) <= 1:
-            continue
-        target = 1.0 - out[~mask[:, u], u].sum() if (~mask[:, u]).any() else 1.0
-        s = m[free, u].sum()
-        if s <= 0:
-            out[free, u] = target / len(free)
-        else:
-            out[free, u] = m[free, u] * (target / s)
-    diff = np.abs(out - m0)
-    c = float(diff.sum() if weights is None else (weights * diff).sum())
-    if c > budget and c > 0:
-        out = m0 + (out - m0) * (budget / c)
-    return out
-
-
 # Greedy-order crossings closer than this are one breakpoint.  Equal rates in
 # different columns cross at points that differ only by rounding; a midpoint
 # between two of them would sit on a tie and pick the wrong side.
@@ -384,13 +353,45 @@ def _two_population_step(solver, a_in, budget) -> LayerStepResult:
     return LayerStepResult(matrix=m, objective=float(values.min()), path="dual")
 
 
+def _game_step(solver, a_in, budget) -> LayerStepResult:
+    """Exact maximin step for any number of populations, without an LP.
+
+    The step is a zero-sum game between feasible matrices and population
+    mixes mu, bilinear in the two; the greedy matrix at mu @ a_in is a best
+    response to mu, so `double_oracle` over greedy matrices, started at the
+    uniform mix, solves it.  The game's mix of its matrices is feasible, as
+    the feasible set is convex, and attains the game's value.
+    """
+    r_out = solver.r_out
+    mats = {}
+
+    def respond(mu):
+        m = solver.solve(mu @ a_in, budget).matrix
+        key = m.tobytes()
+        mats[key] = m
+        row = (r_out @ m) @ a_in.T
+        return key, row, float(row @ mu)
+
+    key, row, _ = respond(np.full(len(a_in), 1.0 / len(a_in)))
+    _, lam, _, keys, *_ = double_oracle(respond, {key: row},
+                                        1e-12 * float(np.abs(r_out).max()))
+    stack = np.array([mats[k] for k in keys])
+    # Entries every matrix agrees on, the frozen ones among them, stay
+    # bitwise; the mix would change them in the last bit.
+    agree = (stack == stack[0]).all(axis=0)
+    m = np.where(agree, stack[0], np.tensordot(lam, stack, axes=1))
+    values = (r_out @ m) @ a_in.T
+    return LayerStepResult(matrix=m, objective=float(values.min()), path="game")
+
+
 def solve_maximin_step(solver, a_in, budget_step) -> LayerStepResult:
     """Maximize min_j r_out^T M a_in[j] over the feasible M of `solver`'s step.
 
     a_in is a (populations, source-layer-size) array of per-population input
-    distributions.  One population is the welfare step; two populations
-    take the LP-free `_two_population_step`; three or more solve the
-    epigraph LP.
+    distributions.  One population is the welfare step; without budget, or
+    without a column of >= 2 malleable entries, nothing can move and m0 is
+    returned; otherwise two populations take `_two_population_step` and
+    three or more `_game_step`.
     """
     a_in = np.asarray(a_in, dtype=float)
     # One pass over a_in: a NaN or an infinity anywhere makes the sum non-finite.
@@ -402,67 +403,9 @@ def solve_maximin_step(solver, a_in, budget_step) -> LayerStepResult:
         raise ValueError(f"budget must be non-negative, got {budget_step}")
     if len(a_in) == 1:
         return solver.solve(a_in[0], budget_step)
-    # Without budget, or without a column of >= 2 malleable entries, nothing
-    # can move; the epigraph LP returns m0 for those steps unsolved.
-    if len(a_in) == 2 and budget_step > 0 and solver.can_move:
-        return _two_population_step(solver, a_in, budget_step)
-    return _epigraph_lp(solver.r_out, a_in, solver.m0, solver.mask, budget_step,
-                        solver.weights)
-
-
-def _epigraph_lp(r_out, a_in, m0, mask, budget, weights) -> LayerStepResult:
-    """max v s.t. v <= r_out^T M a_in[j] for every population j, as an LP.
-
-    Variables are the entries that can actually vary (malleable, in a column
-    with >= 2 malleable entries), listed column by column, then their
-    absolute changes, then v.  The maximin step solves it for three or more
-    populations, and the tests check the LP-free steps against it.  Steps
-    with nothing to vary, or no budget, return m0 unsolved.
-    """
-    movable = np.flatnonzero(mask.sum(axis=0) >= 2)
-    if budget == 0 or not len(movable):
-        base_rewards = (r_out @ m0) @ a_in.T  # value per population if M = m0
-        return LayerStepResult(matrix=m0.copy(), objective=float(base_rewards.min()),
-                               path="initial")
-
-    u_e, v_e = np.nonzero(mask[:, movable].T)
-    u_e = movable[u_e]
-    n, pops = len(v_e), a_in.shape[0]
-    m0_e = m0[v_e, u_e]
-    # frozen_j: contribution of all non-variable entries.
-    frozen = m0.copy()
-    frozen[v_e, u_e] = 0.0
-    frozen_j = (r_out @ frozen) @ a_in.T
-
-    # Rows: x_e - a_e <= m0_e and -x_e - a_e <= -m0_e per entry, interleaved;
-    # the budget on sum w_e a_e; then v - sum_e r_out[v] a_in[j, u] x_e <= frozen_j.
-    e = np.arange(n)
-    a_ub = np.zeros((2 * n + 1 + pops, 2 * n + 1))
-    a_ub[2 * e, e] = 1.0
-    a_ub[2 * e + 1, e] = -1.0
-    a_ub[2 * e, n + e] = -1.0
-    a_ub[2 * e + 1, n + e] = -1.0
-    a_ub[2 * n, n:2 * n] = 1.0 if weights is None else weights[v_e, u_e]
-    a_ub[2 * n + 1:, :n] = -(r_out[v_e] * a_in[:, u_e])
-    a_ub[2 * n + 1:, 2 * n] = 1.0
-    b_ub = np.concatenate([np.column_stack([m0_e, -m0_e]).ravel(), [budget], frozen_j])
-    # One column-sum row per movable column.  Each right-hand side sums that
-    # column's frozen entries as a 1-D sum; a masked 2-D sum can round
-    # differently and move the LP's optimum in the last bits.
-    a_eq = np.zeros((len(movable), 2 * n + 1))
-    a_eq[np.searchsorted(movable, u_e), e] = 1.0
-    b_eq = np.array([1.0 - m0[~mask[:, u], u].sum() for u in movable])
-    c = np.zeros(2 * n + 1)
-    c[2 * n] = -1.0
-
-    bounds = [(0.0, 1.0)] * n + [(0.0, 2.0)] * n + [(None, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-                  method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"step LP failed: {res.message}")
-    m = m0.copy()
-    m[v_e, u_e] = res.x[:n]
-    m = _repair_columns(m, m0, mask, weights, budget)
-    # What the matrix attains; HiGHS's tolerance lets v overstate it by ~1e-7.
-    return LayerStepResult(matrix=m, objective=float(((r_out @ m) @ a_in.T).min()),
-                           path="lp")
+    if budget_step > 0 and solver.can_move:
+        step = _two_population_step if len(a_in) == 2 else _game_step
+        return step(solver, a_in, budget_step)
+    m = solver.m0.copy()
+    values = (solver.r_out @ m) @ a_in.T
+    return LayerStepResult(matrix=m, objective=float(values.min()), path="initial")

@@ -123,14 +123,17 @@ def make_instance(
 ) -> Instance:
     """Assemble an Instance from plain sequences; mask defaults to all-true.
 
-    Layer sizes must be integers; an integral float such as 3.0 is accepted.
+    Layer sizes must be integers; an integral float such as 3.0 is accepted,
+    a boolean is not.  The budget must be a number, not a string or boolean.
     """
     sizes = []
     for t, s in enumerate(layer_sizes):
-        if not (isinstance(s, numbers.Integral)
-                or isinstance(s, float) and s.is_integer()):
+        if isinstance(s, bool) or not (isinstance(s, numbers.Integral)
+                                       or isinstance(s, float) and s.is_integer()):
             raise ValueError(f"layers[{t}] = {s!r} is not an integer")
         sizes.append(int(s))
+    if isinstance(budget, bool) or not isinstance(budget, numbers.Real):
+        raise ValueError(f"budget = {budget!r} is not a number")
     mats = tuple(_as_matrix(m) for m in initial_matrices)
     if malleable is None:
         masks = tuple(np.ones_like(m, dtype=bool) for m in mats)
@@ -166,6 +169,9 @@ def validate_instance(instance: Instance) -> list:
             f"{len(instance.initial_matrices)}"
         )
         return out  # shapes unusable, stop here
+    if len(instance.malleable) != len(instance.initial_matrices):
+        out.append(f"malleable has {len(instance.malleable)} masks, expected "
+                   f"{len(instance.initial_matrices)}")
     for t, (m, mask) in enumerate(zip(instance.initial_matrices, instance.malleable)):
         want = (sizes[t + 1], sizes[t])
         if m.shape != want:

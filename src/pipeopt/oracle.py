@@ -5,12 +5,13 @@ grid step eta (relative to the initial matrices, so the do-nothing plan is
 always included), evaluate all of them exactly, and return the best.  They
 share no machinery with the dynamic programs or the step solvers: evaluation
 is plain batched matrix algebra, which is what makes them usable as an
-independent check.  The one piece lent the other way is the zero-sum game
-solver, `mixture_game`, which the randomized solver runs over its own plans:
-small games by Shapley & Snow's support enumeration, large ones by one LP.
-The ex-ante oracle solves the same game as a double oracle over the whole
-table: its best responses are exact argmaxes over every grid plan, so it
-needs no tolerance and no iteration cap.
+independent check.  The piece lent the other way is `double_oracle`, the
+one loop that solves every zero-sum game in pipeopt, with no LP: the
+randomized solver runs it over its plans, the maximin step over greedy
+matrices, and `mixture_game` over an explicit game's rows, with Shapley &
+Snow's support enumeration as the restricted solver.  The ex-ante oracle
+runs it over the whole table: its best responses are exact argmaxes over
+every grid plan, so it needs no tolerance and no iteration cap.
 
 Intended envelope: width <= 3, depth <= 4, eta coarse enough that the joint
 enumeration stays under the cap (10^7 plans by default; the cap is a
@@ -40,9 +41,17 @@ ORACLE_CAP = 10_000_000
 # numpy pass, large ones hold the suffix plus one block in memory.
 _BLOCK_ROWS = 1 << 16
 _SNAP = 1e-9
-# mixture_game enumerates square supports while a K x p game has at most
-# this many, C(K + p, p) - 1 of them, and solves one LP otherwise.
+# mixture_game starts from every row of a K x p game with at most this many
+# square supports, C(K + p, p) - 1 of them, and from one row otherwise.
+# Only games this small keep their support tables cached.
 _SUPPORT_CAP = 500
+# One mixture_game call refuses (CapacityError) once its restricted games
+# would enumerate more square supports than this in all: at about 10 us a
+# support, a call stays under about 0.2 s, whatever the game's size.
+_GAME_CAP = 20_000
+# Supports are priced in slices of about this many entries, so memory
+# stays a few MB at any game size.
+_SLICE_ENTRIES = 1 << 20
 # An enumerated pair is optimal when its duality gap is at most _CERT_TOL
 # times max|values|; a support whose |1^T adj(M) 1| is under _SINGULAR_TOL
 # times max|values|^(s - 1) is skipped as singular.
@@ -51,8 +60,9 @@ _SINGULAR_TOL = 1e-12
 
 
 def linprog(*args, **kwargs):
-    """scipy's `linprog`, imported at the first LP: scipy.optimize is most
-    of the cost of importing pipeopt, and most runs never solve an LP."""
+    """scipy's `linprog`, imported on call.  Nothing in pipeopt calls it:
+    only the traced benchmark looks it up, here and as `layerlp.linprog`,
+    to wrap it."""
     from scipy.optimize import linprog as highs
     return highs(*args, **kwargs)
 
@@ -296,28 +306,25 @@ class GridPlanTable:
         """Exact best randomized maximin over mixtures of the table's plans.
 
         Solves max v subject to sum_p lambda_p * reward_j(p) >= v for every
-        population j over the enumerated plan set, as a double oracle.
-        Starting from the instance's own distribution, it adds the table's
-        best plan against the adversary's distribution and re-solves the
-        restricted game (`mixture_game`) for the adversary's optimal reply,
-        until that plan is already in the game or does not beat the game's
-        value.  The table is finite, so this ends, and then no grid plan
-        beats the value against the adversary's reply.  Returns
-        (value, MixedPlan).
+        population j over the enumerated plan set, as a `double_oracle`
+        started from the table's best plan against the instance's own
+        distribution.  It adds the table's best plan against the
+        adversary's optimal reply to the restricted game until that plan is
+        already in the game or does not beat the game's value.  The table
+        is finite, so this ends, and then no grid plan beats the value
+        against the adversary's reply.  Returns (value, MixedPlan).
         """
-        game = {}   # (suffix_row, first_choice) -> per-population rewards
-        value, mu = -math.inf, self.instance.initial_distribution
-        while True:
+        def respond(mu):
             score, ident = self.reduce_best(
                 score_fn=lambda vals: _welfare_scores(vals, mu),
                 tie_fn=lambda vals: np.zeros(len(vals)),
             )
-            if ident in game or score <= value:
-                break
-            game[ident] = self.rewards_for(*ident)
-            value, lam, mu = mixture_game(list(game.values()))
+            return ident, self.rewards_for(*ident), score
+
+        ident, rewards, _ = respond(self.instance.initial_distribution)
+        value, lam, _, keys, *_ = double_oracle(respond, {ident: rewards}, 0.0)
         support = [(float(w), self.plan_for(*ident))
-                   for w, ident in zip(lam, game) if w > 0]
+                   for w, ident in zip(lam, keys) if w > 0]
         return value, MixedPlan(support=tuple(support))
 
 
@@ -345,15 +352,55 @@ def mixture_game(values) -> tuple:
     Rows are the designer's plans, columns the adversary's populations.
     Returns (v, lambda, mu): the designer's weights (entries at or below
     1e-10 dropped, the rest renormalized), the adversary's optimal
-    distribution, and v = min_j (lambda^T values)_j.  Games with at most
-    _SUPPORT_CAP square supports are solved by `_support_game`; larger ones,
-    and any it cannot certify, by the LP `_mixture_lp`.
+    distribution, and v = min_j (lambda^T values)_j.  It is a double oracle
+    over the rows with `_support_game` as the restricted solver and the
+    best row against mu as the response.  A game with at most _SUPPORT_CAP
+    square supports starts from all its rows, so one pass solves it; a
+    larger one starts from its best row against the uniform adversary.
+    Raises CapacityError once the restricted games would enumerate more
+    than _GAME_CAP supports in all, and RuntimeError if a restricted game
+    cannot be certified.
     """
     values = np.asarray(values, dtype=float)
-    found = None
-    if math.comb(sum(values.shape), values.shape[1]) - 1 <= _SUPPORT_CAP:
-        found = _support_game(values)
-    lam, mu = _mixture_lp(values) if found is None else found
+    k, p = values.shape
+    work = 0
+
+    def respond(mu):
+        i = int((values @ mu).argmax())
+        return i, values[i], float(values[i] @ mu)
+
+    def solve(rows):
+        nonlocal work
+        work += _support_count(len(rows), p)
+        if work > _GAME_CAP:
+            raise CapacityError(
+                f"the {k} x {p} game's restricted games would enumerate more than "
+                f"{_GAME_CAP} square supports (cap {_GAME_CAP})")
+        return _certified_game(rows)
+
+    small = _support_count(k, p) <= _SUPPORT_CAP
+    start = range(k) if small else [respond(np.full(p, 1.0 / p))[0]]
+    _, lam, mu, keys, *_ = double_oracle(
+        respond, {i: values[i] for i in start}, _CERT_TOL * float(np.abs(values).max()),
+        solve=solve)
+    full = np.zeros(k)
+    full[keys] = lam
+    return float((full @ values).min()), full, mu
+
+
+def _support_count(k, p):
+    """Square supports (S, T) of a k x p game: sum_s C(k, s) C(p, s)."""
+    return math.comb(k + p, p) - 1
+
+
+def _certified_game(rows):
+    """`_support_game` on the rows, normalized as `mixture_game` returns it."""
+    values = np.array(rows)
+    found = _support_game(values)
+    if found is None:
+        raise RuntimeError("no certified solution of the %d x %d restricted game"
+                           % values.shape)
+    lam, mu = found
     lam = np.where(lam > 1e-10, lam, 0.0)
     lam /= sum(float(w) for w in lam if w > 0)
     mu = np.maximum(mu, 0.0)
@@ -361,21 +408,45 @@ def mixture_game(values) -> tuple:
     return float((lam @ values).min()), lam, mu
 
 
+def double_oracle(respond, game, tol, max_iterations=None, solve=mixture_game) -> tuple:
+    """Solve a zero-sum game by growing a restricted game from best responses
+    (McMahan, Gordon & Blum, 2003).
+
+    `game` maps a key to its row of per-population values; `respond(mu)`
+    returns (key, row, payoff against mu) of a best response to the
+    adversary's distribution mu.  Each pass solves the restricted game
+    (`solve`), and stops if the best response to its optimal mu is already
+    in the game or beats its value by at most tol, or after max_iterations
+    passes; otherwise the response joins the game.  With finitely many
+    responses it ends.  Returns the restricted game's (v, lambda, mu), its
+    keys in order, the last response's payoff, the passes made and whether
+    the loop converged.
+    """
+    for iterations in itertools.count(1):
+        value, lam, mu = solve(list(game.values()))
+        key, row, response = respond(mu)
+        converged = key in game or response <= value + tol
+        if converged or iterations == max_iterations:
+            return value, lam, mu, list(game), response, iterations, converged
+        game[key] = row
+
+
 @functools.cache
 def _supports(k, p, s):
     """Index arrays for the s x s supports (S, T) of a k x p game, S major:
-    each support's rows and columns, (n, s) each; the flat indices of the
-    (s-1) x (s-1) minors of values[S, T], (n, s, s, s-1, s-1), minor (i, j)
-    dropping row i and column j; and the cofactor signs, (s, s).  Cached,
-    so every call shares them; none is written."""
+    each support's rows and columns, (n, s) each; the flat indices of
+    values[S, T], (n, s, s); the index pair that takes an (s, s) block's
+    (s-1) x (s-1) minors, (s, s, s-1, s-1), minor (i, j) dropping row i and
+    column j; and the cofactor signs, (s, s).  Cached for games of at most
+    _SUPPORT_CAP supports, so those calls share them; none is written."""
     rows, cols = (np.array(list(itertools.combinations(range(n), s)), dtype=np.intp)
                   for n in (k, p))
     r = np.repeat(rows, len(cols), axis=0)
     c = np.tile(cols, (len(rows), 1))
-    flat = r[:, :, None] * p + c[:, None, :]
     rest = np.array([[j for j in range(s) if j != i] for i in range(s)], dtype=np.intp)
-    minors = flat[:, rest[:, None, :, None], rest[None, :, None, :]]
-    return r, c, minors, (-1.0) ** np.add.outer(np.arange(s), np.arange(s))
+    return (r, c, r[:, :, None] * p + c[:, None, :],
+            (rest[:, None, :, None], rest[None, :, None, :]),
+            (-1.0) ** np.add.outer(np.arange(s), np.arange(s)))
 
 
 def _support_game(values):
@@ -384,49 +455,37 @@ def _support_game(values):
     Every finite zero-sum game has an optimal pair on square supports S
     (rows) and T (columns) whose submatrix M = values[S, T] has a nonzero
     1^T adj(M) 1: lambda_S is proportional to 1^T adj(M), mu_T to adj(M) 1.
-    For sizes 1, 2, ... this forms both for every (S, T) of the size in one
-    batch, from M's cofactors, and returns the first pair in lexicographic
-    order that certifies itself: with both strategies clipped to
-    distributions, no row beats lambda's worst column by more than
-    _CERT_TOL * max|values| against mu.
+    For sizes 1, 2, ... this forms both for every (S, T) of the size in
+    batches of about _SLICE_ENTRIES entries, from M's cofactors, and returns
+    the first pair in lexicographic order that certifies itself: with both
+    strategies clipped to distributions, no row beats lambda's worst column
+    by more than _CERT_TOL * max|values| against mu.
     """
     k, p = values.shape
     scale = float(np.abs(values).max())
+    tables = _supports if _support_count(k, p) <= _SUPPORT_CAP else _supports.__wrapped__
     for s in range(1, min(k, p) + 1):
-        rows, cols, minors, sign = _supports(k, p, s)
-        cof = np.linalg.det(values.take(minors)) * sign
-        total = cof.sum(axis=(1, 2))
-        keep = np.abs(total) > _SINGULAR_TOL * scale ** (s - 1)
-        cof, total, rows, cols = cof[keep], total[keep, None], rows[keep], cols[keep]
-        # Each sums to 1 before clipping, so a positive entry survives it.
-        lam_s = np.maximum(cof.sum(axis=2) / total, 0.0)
-        mu_t = np.maximum(cof.sum(axis=1) / total, 0.0)
-        lam_s /= lam_s.sum(axis=1, keepdims=True)
-        mu_t /= mu_t.sum(axis=1, keepdims=True)
-        worst = (lam_s[:, :, None] * values[rows]).sum(axis=1).min(axis=1)
-        best = (values[:, cols] * mu_t).sum(axis=2).max(axis=0)
-        cert = np.flatnonzero(best - worst <= _CERT_TOL * scale)
-        if len(cert):
-            i = cert[0]
-            lam, mu = np.zeros(k), np.zeros(p)
-            lam[rows[i]] = lam_s[i]
-            mu[cols[i]] = mu_t[i]
-            return lam, mu
+        all_rows, all_cols, flat, (ri, ci), sign = tables(k, p, s)
+        step = max(1, _SLICE_ENTRIES // (s ** 4 + (k + p) * s))
+        for lo in range(0, len(flat), step):
+            part = slice(lo, lo + step)
+            cof = np.linalg.det(values.take(flat[part][:, ri, ci])) * sign
+            total = cof.sum(axis=(1, 2))
+            keep = np.abs(total) > _SINGULAR_TOL * scale ** (s - 1)
+            cof, total = cof[keep], total[keep, None]
+            rows, cols = all_rows[part][keep], all_cols[part][keep]
+            # Each sums to 1 before clipping, so a positive entry survives it.
+            lam_s = np.maximum(cof.sum(axis=2) / total, 0.0)
+            mu_t = np.maximum(cof.sum(axis=1) / total, 0.0)
+            lam_s /= lam_s.sum(axis=1, keepdims=True)
+            mu_t /= mu_t.sum(axis=1, keepdims=True)
+            worst = (lam_s[:, :, None] * values[rows]).sum(axis=1).min(axis=1)
+            best = (values[:, cols] * mu_t).sum(axis=2).max(axis=0)
+            cert = np.flatnonzero(best - worst <= _CERT_TOL * scale)
+            if len(cert):
+                i = cert[0]
+                lam, mu = np.zeros(k), np.zeros(p)
+                lam[rows[i]] = lam_s[i]
+                mu[cols[i]] = mu_t[i]
+                return lam, mu
     return None
-
-
-def _mixture_lp(values):
-    """Optimal (lambda, mu) of the mixture game by one LP: lambda from the
-    primal, mu from the dual (HiGHS marginals)."""
-    f, s1 = values.shape
-    c = np.zeros(f + 1)
-    c[-1] = -1.0
-    a_ub = np.hstack([-values.T, np.ones((s1, 1))])
-    b_ub = np.zeros(s1)
-    a_eq = np.zeros((1, f + 1))
-    a_eq[0, :f] = 1.0
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.array([1.0]),
-                  bounds=[(0.0, None)] * f + [(None, None)], method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"mixture LP failed: {res.message}")
-    return res.x[:f], -res.ineqlin.marginals

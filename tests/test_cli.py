@@ -295,9 +295,9 @@ class TestCli:
     def test_maximin_reports_step_paths(self, capsys, contrast_file):
         _, out = run_cli(capsys, "solve-maximin", "--instance", contrast_file,
                          "--epsilon", "0.25")
-        # Three populations price their steps with the LP.
+        # Three populations price their steps with the game step.
         assert out["meta"]["step_calls"]["dual"] == 0
-        assert out["meta"]["step_calls"]["lp"] > 0
+        assert out["meta"]["step_calls"]["game"] > 0
 
 
 def _mutate(path, tmp_path, edit):
@@ -338,24 +338,51 @@ MALFORMED = {
     # A fractional layer size was once truncated.
     "fractional_layer": (lambda d: d.__setitem__("layers", [3.7, 2]),
                          "layers[0] = 3.7 is not an integer"),
+    # These three were once accepted: a boolean read as size 1, a string
+    # budget read as its number, and an empty mask list that then crashed
+    # the solvers.
+    "boolean_layer": (lambda d: d.__setitem__("layers", [3, True]),
+                      "layers[1] = True is not an integer"),
+    "string_budget": (lambda d: d.__setitem__("budget", "1"),
+                      "budget = '1' is not a number"),
+    "empty_malleable": (lambda d: d.__setitem__("malleable", []),
+                        "malleable has 0 masks, expected 1"),
 }
 
 
 def test_no_lp_no_scipy_optimize(tmp_path):
-    # scipy.optimize is imported at the first LP; importing the CLI and a
-    # weighted welfare solve, all greedy, must not import it.
+    # No command solves an LP, so none needs scipy: with every scipy import
+    # blocked, a weighted welfare solve, a three-population maximin solve
+    # (the game step), the grid oracles on the separation network and a
+    # game above the support cap all run.
     code = (
         "import sys\n"
+        "class BlockScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, BlockScipy())\n"
+        "import math\n"
         "import numpy as np\n"
         "import pipeopt.cli\n"
         "import pipeopt as po\n"
+        "from pipeopt.oracle import _SUPPORT_CAP, mixture_game\n"
         "inst = po.random_instance(7, 2, 3, 1.0, 1.0)\n"
         "weights = tuple(np.full_like(m, 1.5) for m in inst.initial_matrices)\n"
         "inst = po.make_instance(inst.layer_sizes, inst.initial_matrices,\n"
         "    inst.rewards, inst.initial_distribution, inst.budget, inst.malleable,\n"
         "    cost_model=po.CostModel('weighted_l1', weights))\n"
         "po.solve_social_welfare(inst, 0.1)\n"
-        "assert 'scipy.optimize' not in sys.modules\n"
+        "po.save_instance(po.fairness_price_instance(3, 0.1, 1.0), 'contrast.json')\n"
+        "po.save_instance(po.separation_instance(0.6), 'sep.json')\n"
+        "main = pipeopt.cli.main\n"
+        "assert main(['solve-maximin', '--instance', 'contrast.json',\n"
+        "             '--epsilon', '0.25']) == 0\n"
+        "assert main(['oracle', '--instance', 'sep.json', '--grid', '0.075']) == 0\n"
+        "values = np.random.default_rng(3).random((60, 3))\n"
+        "assert math.comb(60 + 3, 3) - 1 > _SUPPORT_CAP\n"
+        "mixture_game(values)\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
     )
     src = Path(po.__file__).resolve().parent.parent
     run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,

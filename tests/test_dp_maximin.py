@@ -99,20 +99,21 @@ class TestReportAndCaps:
         assert report.budget_used <= inst.budget + 1e-9
 
     def test_step_paths_counted(self):
-        # Two populations never reach the LP, with unit or weighted costs;
-        # three populations always do.  Zero-budget steps return the initial
-        # matrix unsolved.
+        # Two populations never reach the game step, with unit or weighted
+        # costs; three populations always do.  Zero-budget steps return the
+        # initial matrix unsolved.
         inst = po.random_instance(35, 2, 3, 1.0, 0.5)
         report, _ = po.solve_expost_maximin(inst, 0.25)
         calls = report.solver_meta["step_calls"]
-        assert calls["lp"] == 0 and calls["dual"] > 0 and calls["initial"] > 0
+        assert calls["game"] == 0 and calls["dual"] > 0 and calls["initial"] > 0
+        assert "lp" not in calls
         w_report, _ = po.solve_expost_maximin(_uniform_weights(inst, 1.5), 0.25)
         assert w_report.solver_meta["step_calls"]["dual"] > 0
-        assert w_report.solver_meta["step_calls"]["lp"] == 0
+        assert w_report.solver_meta["step_calls"]["game"] == 0
         three = _uniform_weights(po.fairness_price_instance(3, 0.1, 1.0), 1.5)
         t_report, _ = po.solve_expost_maximin(three, 0.25)
         assert t_report.solver_meta["step_calls"]["dual"] == 0
-        assert t_report.solver_meta["step_calls"]["lp"] > 0
+        assert t_report.solver_meta["step_calls"]["game"] > 0
 
     def test_per_layer_profile_counts_every_build_step(self):
         # The build keeps each winner's matrix, so beyond the priced pairs a

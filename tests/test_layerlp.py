@@ -1,4 +1,4 @@
-"""Single-layer steps: exact greedy vs an independent LP, and the maximin LP."""
+"""Single-layer steps: the exact greedy and both maximin steps against LPs."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 import pipeopt as po
-from pipeopt.layerlp import WelfareStepSolver, _epigraph_lp, solve_maximin_step
+from lp_reference import epigraph_lp
+from pipeopt.layerlp import WelfareStepSolver, solve_maximin_step
 
 rng = np.random.default_rng(404)
 
@@ -242,6 +243,21 @@ class TestMaximinStep:
         res = solve_maximin_step(WelfareStepSolver(r_out, m0, mask), a_in, 0.0)
         np.testing.assert_array_equal(res.matrix, m0)
 
+    @pytest.mark.parametrize("pops", [2, 3])
+    def test_budget_zero_value_is_the_returned_matrix(self, pops):
+        # A Fortran-ordered m0 rounds r_out @ m0 differently from the C-ordered
+        # copy returned; the value must be the returned matrix's own.
+        r_out = np.array([123.71, 847.97, 258.13, 247.28])
+        top = np.array([[0.309, 0.154], [0.223, 0.365], [0.079, 0.019]])
+        m0 = np.asfortranarray(np.vstack([top, 1.0 - top.sum(axis=0)]))
+        first = np.array([[0.85], [0.84], [0.48]])[:pops]
+        a_in = np.hstack([first, 1.0 - first])
+        solver = WelfareStepSolver(r_out, m0, np.ones((4, 2), dtype=bool))
+        res = solve_maximin_step(solver, a_in, 0.0)
+        assert res.path == "initial"
+        np.testing.assert_array_equal(res.matrix, m0)
+        assert res.objective == float(((solver.r_out @ res.matrix) @ a_in.T).min())
+
     def test_output_feasibility(self):
         for _ in range(10):
             r_out, _, m0, mask, weights = random_step(3, 3, 0.7, True)
@@ -266,7 +282,7 @@ class TestMaximinStep:
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("mask_p", [1.0, 0.6])
     def test_matches_reference_lp(self, weighted, mask_p):
-        # Three or four populations solve the epigraph LP, which must equal
+        # Three or four populations take the game step, which must equal
         # the independent formulation across shapes, masks and weights.
         for trial in range(25):
             rows = int(rng.integers(2, 5))
@@ -379,6 +395,29 @@ def weighted_two_population_steps(draw):
 
 
 @st.composite
+def many_population_steps(draw):
+    """(r_out, a_in, m0, mask, budget, weights) for a step with 3-5
+    populations: rows of the identity or free mixes, masked half the time,
+    weights None (unit costs) half the time."""
+    rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    pops = draw(st.integers(3, 5))
+    m0 = _stochastic(_counts(draw, (rows, cols)))
+    r_out = _counts(draw, (rows,)) * draw(st.sampled_from([1.0, 1e3]))
+    mask = np.ones((rows, cols), dtype=bool)
+    if draw(st.booleans()):
+        mask = np.array(draw(st.lists(st.booleans(), min_size=rows * cols,
+                                      max_size=rows * cols))).reshape(rows, cols)
+    if draw(st.booleans()):
+        picks = draw(st.lists(st.integers(0, cols - 1), min_size=pops, max_size=pops))
+        a_in = np.eye(cols)[picks]
+    else:
+        a_in = _stochastic(_counts(draw, (cols, pops))).T
+    budget = draw(st.floats(0.0, 2.5))
+    weights = _weights(draw, (rows, cols)) if draw(st.booleans()) else None
+    return r_out, a_in, m0, mask, budget, weights
+
+
+@st.composite
 def greedy_blocks(draw):
     """(r_out, m0, mask, D, budgets, weights) for the block greedy: D is
     (inputs, cols); weights is None (unit costs) half the time."""
@@ -478,7 +517,7 @@ class TestTwoPopulationDualStep:
         r_out, a_in, m0, mask, budget = step
         solver = WelfareStepSolver(r_out, m0, mask)
         res = solve_maximin_step(solver, a_in, budget)
-        ref = _epigraph_lp(r_out, a_in, m0, mask, budget, None)
+        ref = epigraph_lp(r_out, a_in, m0, mask, budget, None)
         assert res.path in ("dual", "initial")
         assert ref.path in ("lp", "initial")
         assert res.objective == pytest.approx(ref.objective, abs=1e-7)
@@ -516,7 +555,7 @@ class TestTwoPopulationDualStep:
         mask = np.ones_like(m0, dtype=bool)
         a_in = np.array([[0.9, 0.1], [0.3, 0.7]])
         res = solve_maximin_step(WelfareStepSolver(r_out, m0, mask), a_in, budget)
-        ref = _epigraph_lp(r_out, a_in, m0, mask, budget, None)
+        ref = epigraph_lp(r_out, a_in, m0, mask, budget, None)
         assert res.objective == pytest.approx(ref.objective, abs=1e-9)
 
     @pytest.mark.parametrize("budget", [0.3, 0.6])
@@ -534,7 +573,7 @@ class TestTwoPopulationDualStep:
         res = solve_maximin_step(WelfareStepSolver(r_out, m0, mask), a_in, budget)
         assert res.path == "dual"
         np.testing.assert_array_equal(res.matrix[~mask], m0[~mask])
-        ref = _epigraph_lp(r_out, a_in, m0, mask, budget, None)
+        ref = epigraph_lp(r_out, a_in, m0, mask, budget, None)
         assert res.objective == pytest.approx(ref.objective, abs=1e-9)
 
     def test_weighted_costs_take_the_dual_step(self):
@@ -542,7 +581,7 @@ class TestTwoPopulationDualStep:
         solver = WelfareStepSolver(r_out, m0, mask, weights)
         res = solve_maximin_step(solver, np.eye(2), 0.5)
         assert res.path == "dual"
-        ref = _epigraph_lp(r_out, np.eye(2), m0, mask, 0.5, weights)
+        ref = epigraph_lp(r_out, np.eye(2), m0, mask, 0.5, weights)
         assert res.objective == pytest.approx(ref.objective, abs=1e-9)
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -554,7 +593,7 @@ class TestTwoPopulationDualStep:
         assert res.path in ("dual", "initial")
         ref = welfare_step_by_linprog(r_out, a_in, m0, mask, budget, weights)
         assert res.objective == pytest.approx(ref, abs=1e-7)
-        lp = _epigraph_lp(r_out, a_in, m0, mask, budget, weights)
+        lp = epigraph_lp(r_out, a_in, m0, mask, budget, weights)
         assert res.objective >= lp.objective - 1e-9
         m = res.matrix
         np.testing.assert_allclose(m.sum(axis=0), 1.0, atol=1e-12)
@@ -562,6 +601,38 @@ class TestTwoPopulationDualStep:
         assert float((weights * np.abs(m - m0)).sum()) <= budget + 1e-9
         np.testing.assert_array_equal(m[~mask], m0[~mask])
         assert res.objective == float(((r_out @ m) @ a_in.T).min())
+
+
+class TestGameStep:
+    """The LP-free step for three or more populations against the epigraph LP."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(many_population_steps())
+    def test_matches_lp_and_is_feasible(self, step):
+        r_out, a_in, m0, mask, budget, weights = step
+        res = solve_maximin_step(WelfareStepSolver(r_out, m0, mask, weights), a_in, budget)
+        ref = epigraph_lp(r_out, a_in, m0, mask, budget, weights)
+        assert res.path in ("game", "initial")
+        tol = 1e-9 * max(1.0, float(np.abs(r_out).max()))
+        assert res.objective >= ref.objective - tol
+        assert res.objective == pytest.approx(ref.objective, abs=tol)
+        m = res.matrix
+        np.testing.assert_allclose(m.sum(axis=0), 1.0, atol=1e-12)
+        assert np.all(m >= 0.0) and np.all(m <= 1.0)
+        w = np.ones_like(m0) if weights is None else weights
+        assert float((w * np.abs(m - m0)).sum()) <= budget + 1e-12 * w.max()
+        np.testing.assert_array_equal(m[~mask], m0[~mask])
+        assert res.objective == float(((r_out @ m) @ a_in.T).min())
+
+    def test_three_populations_need_a_mix(self):
+        # Three populations on their own nodes: every greedy matrix spends
+        # the whole budget on one column, so only the game's mix attains 1/6.
+        r_out = np.array([1.0, 0.0])
+        m0 = np.array([[0.0] * 3, [1.0] * 3])
+        solver = WelfareStepSolver(r_out, m0, np.ones_like(m0, dtype=bool))
+        res = solve_maximin_step(solver, np.eye(3), 1.0)
+        assert res.path == "game"
+        assert res.objective == pytest.approx(1 / 6, abs=1e-15)
 
 
 class TestCostModel:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import pipeopt as po
+from lp_reference import mixture_lp
 from pipeopt import oracle
 from pipeopt.errors import CapacityError
 from pipeopt.oracle import GridPlanTable, mixture_game
@@ -123,6 +125,17 @@ def small_games(draw):
     return np.vstack([values, values[repeats]]) * scale
 
 
+@st.composite
+def large_games(draw):
+    """Games above oracle._SUPPORT_CAP: 40-300 plans against 2-5
+    populations, entries on a quarter grid (ties) or free in [0, 1], scaled
+    by 1, 1e3 or 1e-3."""
+    k, p = draw(st.integers(40, 300)), draw(st.integers(2, 5))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = gen.integers(0, 5, (k, p)) / 4.0 if draw(st.booleans()) else gen.random((k, p))
+    return values * draw(st.sampled_from([1.0, 1e3, 1e-3]))
+
+
 class TestMixtureGame:
     # The game solver behind both double oracles, the ex-ante grid oracle's
     # and the randomized solver's; each reads mu as the adversary's next move.
@@ -147,11 +160,21 @@ class TestMixtureGame:
     @example(np.full((3, 3), 0.4))
     @example(np.array([[1.0, 0.0, 0.5], [1.0, 0.0, 0.5], [0.0, 1.0, 0.5]]))
     def test_enumeration_matches_lp(self, values):
+        assert oracle._support_game(values) is not None
+        self.assert_matches_lp(values)
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(large_games())
+    def test_double_oracle_matches_lp_above_cap(self, values):
+        assert math.comb(sum(values.shape), values.shape[1]) - 1 > oracle._SUPPORT_CAP
+        self.assert_matches_lp(values)
+
+    @staticmethod
+    def assert_matches_lp(values):
         # Reference: the LP, whose primal and dual bracket the game value.
         tol = 1e-9 * max(1.0, float(np.abs(values).max()))
-        lam_lp, mu_lp = oracle._mixture_lp(values)
+        lam_lp, mu_lp = mixture_lp(values)
         assert float((values @ mu_lp).max()) - float((lam_lp @ values).min()) <= tol
-        assert oracle._support_game(values) is not None
         v, lam, mu = mixture_game(values)
         assert v == pytest.approx(float((lam_lp @ values).min()), abs=tol)
         for dist in (lam, mu):
@@ -160,18 +183,43 @@ class TestMixtureGame:
         assert v == float((lam @ values).min())
         assert float((values @ mu).max()) <= v + tol
 
-    def test_lp_only_above_support_cap(self, monkeypatch):
+    def test_no_lp_at_any_size(self, monkeypatch):
         calls = []
-        real = oracle.linprog
-        monkeypatch.setattr(oracle, "linprog",
-                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        for module in (oracle, po.layerlp):
+            monkeypatch.setattr(module, "linprog", lambda *a, **kw: calls.append(1))
         mixture_game(np.random.default_rng(5).random((4, 3)))
-        assert calls == []
         table = GridPlanTable(po.separation_instance(0.6), 0.075)
         values = np.concatenate([v for v, _ in table.blocks()])
         assert math.comb(sum(values.shape), values.shape[1]) - 1 > oracle._SUPPORT_CAP
-        mixture_game(values)
-        assert len(calls) >= 1
+        v, _, _ = mixture_game(values)
+        assert calls == []
+        lam_lp, _ = mixture_lp(values)
+        assert v == pytest.approx(float((lam_lp @ values).min()), abs=1e-9)
+
+    def test_wide_games_are_bounded(self):
+        # Six populations: a rank-3 game has an optimum on a small support
+        # and solves.  Eight: a random game would need more than _GAME_CAP
+        # supports in all, so it is refused, and no support table of a game
+        # above _SUPPORT_CAP stays cached.
+        gen = np.random.default_rng(8)
+        values = gen.standard_normal((2000, 3)) @ gen.standard_normal((3, 6))
+        v, lam, _ = mixture_game(values)
+        assert np.count_nonzero(lam) == 4
+        lam_lp, _ = mixture_lp(values)
+        assert v == pytest.approx(float((lam_lp @ values).min()), abs=1e-9)
+        wide = gen.random((3000, 8))
+        tracemalloc.start()
+        with pytest.raises(CapacityError, match=rf"3000 x 8 .*\(cap {oracle._GAME_CAP}\)"):
+            mixture_game(wide)
+        kept, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert kept < 1 << 20
+        assert peak < 64 << 20
+
+    def test_uncertified_game_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_support_game", lambda values: None)
+        with pytest.raises(RuntimeError, match="3 x 2"):
+            mixture_game(np.random.default_rng(6).random((3, 2)))
 
 
 def block_count(inst, eta):
