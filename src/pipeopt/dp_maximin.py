@@ -4,9 +4,10 @@
 population per first-layer node: a cell guesses one distribution per
 population (a tuple of simplex-net points), and the connecting transition is
 priced by the maximin step that maximizes the worst population's value
-(`solve_maximin_step`, given the engine's solver for the continuation: a
-breakpoint search for two populations, a double oracle over greedy matrices
-for three or more, with unit or weighted costs alike, and no LP).  At the
+(`solve_maximin_step`, given the continuation's `WelfareStepSolver` row of
+the engine's layer table: a breakpoint search for two populations, a double
+oracle over greedy matrices for three or more, with unit or weighted costs
+alike, and no LP).  At the
 first layer the population tuple is exact: each population sits on its own
 starting node.
 
@@ -46,17 +47,19 @@ class MaximinDP(BackwardDP):
         self.step_calls[res.path] += 1
         return res
 
-    def _price_block(self, solver, a_in, budgets):
+    def _price_block(self, t, lo, hi, a_in, budgets):
         # Every step is a dual or game solve that makes its matrix anyway;
         # handing them all back means no cell is solved twice.
-        steps = [[self._step(solver, a, float(b)) for a in a_in]
-                 for b in budgets]
-        return (np.array([[s.objective for s in row] for row in steps]),
-                np.array([[s.matrix for s in row] for row in steps]))
+        solvers = [self._segments(t).row(c) for c in range(lo, hi)]
+        steps = [[[self._step(solver, a, float(b)) for solver, b in zip(solvers, row)]
+                  for a in a_in] for row in budgets]
+        return (np.array([[[s.objective for s in r] for r in row] for row in steps]),
+                np.array([[[s.matrix for s in r] for r in row] for row in steps]))
 
-    def _solve_block(self, solver, a_in, budgets):
-        return np.array([self._step(solver, a, float(b)).matrix
-                         for a, b in zip(a_in, budgets)])
+    def _solve_block(self, t, which, a_in, budgets):
+        table = self._segments(t)
+        return np.array([self._step(table.row(c), a, float(b)).matrix
+                         for c, a, b in zip(which, a_in, budgets)])
 
     def solve(self) -> tuple:
         """(memo objective, plan) starting from the exact per-node tuple."""

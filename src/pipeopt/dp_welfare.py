@@ -12,30 +12,35 @@ that also builds the nets.  Cell `row * g + budget index` pairs a row with
 one of the g budget grid points.  Only the step differs between
 objectives: a subclass supplies the number of populations and the step hooks.
 
-Each built layer becomes one list of continuation candidates (next budget
-index, next cell, value vector) for the layer above, in scan order: next
-budget ascending, then table row ascending.  Continuation cells
-that share an identical value vector have an identical connecting step, so
-each such group enters the list once, through its first cell; the terminal
-layer's list is the single candidate `rewards`, next cell -1, with no budget
-reserved downstream.  Each (layer, next cell) gets one `WelfareStepSolver`,
-built at its first step and handed to both hooks.  A cell's value is the
-best step over the candidates at or below its budget index; ties break
-toward the earlier candidate, so results are reproducible.  The memo stores
-the winning candidate's index per cell.
+Each built layer becomes the continuation candidates (`Candidates`: next
+budget index, next cell and value vector per candidate) of the layer above,
+in scan order: next budget ascending, then table row ascending.
+Continuation cells that share an identical value vector have an identical
+connecting step, so each such group enters once, through its first cell;
+the terminal layer's only candidate is `rewards`, next cell -1, with no
+budget reserved downstream.  A cell's value is the best step over the
+candidates at or below its budget index; ties break toward the earlier
+candidate, so results are reproducible.  The memo stores the winning
+candidate's index per cell.
 
-There is one pricing path, `_price_layer`: a candidate is priced against
-every (row, budget) cell it can serve in one `_price_block` call, and a
-per-cell running best changes only on a strict improvement.  The build
-prices every table row at every budget index, then solves the winners'
-matrices with `_solve_block` per winning candidate, unless pricing already
-handed them back.  A query (`_query`, hence every best response of the
-randomized solver) prices its one first-layer cell as a one-row layer at
-the top budget index, then follows the memo's winners down, solving each
-step with a one-row `_solve_block`.  WelfareDP's hooks are the solver's
-`value_block`/`solve_block`: a vectorized greedy that reproduces the scalar
-one bitwise, for unit and weighted costs alike.  MaximinDP's hooks loop
-over `solve_maximin_step` per pair.
+There is one pricing path, `_price_layer`: consecutive candidates that share
+their first priced budget index are priced against every (row, budget) cell
+they can serve in `_price_block` calls of at most _BLOCK_ROWS rows and
+_BLOCK_ROWS (candidate, row, budget) triples, or of one candidate when its
+triples alone are more; within a block the first maximum wins, and a
+per-cell running best changes only on a strict improvement.  The build prices every table
+row at every budget index a candidate serves, then solves the winners'
+matrices with `_solve_block`, at most _BLOCK_ROWS cells a call sorted by
+winner, unless pricing already handed them back.  A query (`_query`, hence
+every best response of the randomized solver) prices its one first-layer
+cell as a one-row layer at the top budget index, so up to _BLOCK_ROWS of
+the first layer's candidates share a block, then follows the memo's
+winners down, solving each step with a one-cell `_solve_block`.  Both
+DPs read one `SegmentTable` per layer over all its candidates, built once.
+WelfareDP's hooks are its `value_block`/`solve_block`, a vectorized greedy
+that reproduces the scalar one bitwise, for unit and weighted costs alike.
+MaximinDP's hooks loop over `solve_maximin_step` per step, with the
+table's `WelfareStepSolver` row of the step's candidate.
 
 Welfare is the one-population case: a cell tracks one layer distribution and
 the step is the exact welfare step.  Everything below layer 1 is independent
@@ -49,11 +54,12 @@ from __future__ import annotations
 
 import math
 import time
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CapacityError
-from .layerlp import WelfareStepSolver
+from .layerlp import SegmentTable
 from .model import (
     Instance,
     InterventionPlan,
@@ -65,9 +71,33 @@ from .netgrid import (budget_grid_size, build_budget_grid, build_simplex_net,
 
 DEFAULT_CELLS_CAP = 10_000_000
 _GROUP_DECIMALS = 12
-# Most rows (pricing) or cells (solving) handed to one block call; bounds
-# the working set when one candidate serves a whole layer.
+# Most (candidate, row, budget) triples (pricing) or cells (solving) handed
+# to one block call, beyond a single candidate's triples; bounds the working
+# set when one candidate serves a whole layer.
 _BLOCK_ROWS = 2048
+
+
+class Candidates(NamedTuple):
+    """One layer's continuation candidates, in scan order."""
+
+    budget: np.ndarray  # (k,) next budget index
+    cell: np.ndarray    # (k,) next cell, -1 for the terminal
+    value: np.ndarray   # (k, s_{t+1}) continuation value vectors
+
+
+def _first_max(values, mats):
+    """The first maximum over a priced block's candidates (axis 2).
+
+    Returns its (budget, row) candidate offsets (0 for a single candidate),
+    values and matrices (None when `mats` is None).
+    """
+    if values.shape[2] == 1:  # argmax is slow over one candidate
+        return 0, values[..., 0], None if mats is None else mats[:, :, 0]
+    pick = values.argmax(axis=2)  # the first maximum
+    top = np.take_along_axis(values, pick[..., None], axis=2)[..., 0]
+    if mats is not None:
+        mats = np.take_along_axis(mats, pick[..., None, None, None], axis=2)[:, :, 0]
+    return pick, top, mats
 
 
 def dp_cell_count(instance: Instance, epsilon: float, pops: int) -> int:
@@ -85,12 +115,14 @@ class BackwardDP:
     """The backward sweep over (layer, budget, population multiset) cells.
 
     Subclasses set `pops` and `kind` before calling this constructor and
-    implement the two step hooks, which get the continuation's step solver
-    from `_solver_for`.  `_price_block(solver, a_in, budgets)` returns the
-    (budgets, rows) step values for every budget and every row of the
-    (rows, pops, s_t) stack `a_in`, plus the matching matrices, or None
-    when pricing makes none.  `_solve_block(solver, a_in, budgets)` returns
-    the step matrices for paired rows, a_in[i] at budgets[i].
+    implement the two step hooks, which read layer t's steps from
+    `_segments(t)`.  `_price_block(t, lo, hi, a_in, budgets)`
+    prices layer t's candidates lo:hi against every row of the (rows, pops,
+    s_t) stack `a_in`, candidate lo + c at budgets[b, c] (budgets is
+    (nb, hi - lo)); it returns the (nb, rows, hi - lo) step values, plus the
+    matching matrices or None when pricing makes none.
+    `_solve_block(t, which, a_in, budgets)` returns the step matrices of
+    paired cells, a_in[i] at budgets[i] against candidate which[i].
     """
 
     pops: int
@@ -121,26 +153,26 @@ class BackwardDP:
         self.profile = {}   # layer -> {cells, groups, priced_pairs} of the build
         self._rvec = {}     # layer -> (cells, s_t) continuation value vectors
         self._choice = {}   # layer -> (cells,) winning candidate index
-        # layer -> candidates its cells scan:
-        # [(next budget idx, next cell or -1 for the terminal, value vector)].
-        self._candidates = {instance.depth - 2: [(0, -1, instance.rewards)]}
-        self._solver_cache = {}  # (layer, next cell) -> WelfareStepSolver
+        # layer -> the candidates its cells scan.
+        self._candidates = {instance.depth - 2: Candidates(
+            np.zeros(1, dtype=np.intp), np.full(1, -1), instance.rewards[None])}
+        self._steps = {}    # layer -> SegmentTable of all its candidates
         self._build()
 
-    def _solver_for(self, t: int, next_cell: int, r_out) -> WelfareStepSolver:
-        """The step solver of layer t against one continuation, built once."""
-        solver = self._solver_cache.get((t, next_cell))
-        if solver is None:
+    def _segments(self, t: int) -> SegmentTable:
+        """Layer t's step segments against all its candidates, built once."""
+        table = self._steps.get(t)
+        if table is None:
             inst = self.instance
-            solver = self._solver_cache[t, next_cell] = WelfareStepSolver(
-                r_out, inst.initial_matrices[t], inst.malleable[t],
-                inst.cost_model.layer_weights(t))
-        return solver
+            table = self._steps[t] = SegmentTable(
+                self._candidates[t].value, inst.initial_matrices[t],
+                inst.malleable[t], inst.cost_model.layer_weights(t))
+        return table
 
     # -- sweep -----------------------------------------------------------------
 
     def _group_layer(self, t: int):
-        """Turn built layer t into the candidate list of layer t - 1.
+        """Turn built layer t into the candidates of layer t - 1.
 
         Per budget index, cells whose value vectors round to the same bytes
         form one group, represented by its first cell in table order.
@@ -149,26 +181,27 @@ class BackwardDP:
         rvec = self._rvec[t]
         keys = rvec.round(_GROUP_DECIMALS).reshape(-1, g, rvec.shape[1])
         row_bytes = np.dtype((np.void, keys.itemsize * keys.shape[2]))
-        candidates = []
+        cells = []
         for b_next in range(g):
             rows = np.ascontiguousarray(keys[:, b_next]).view(row_bytes).ravel()
             _, first = np.unique(rows, return_index=True)
-            for row in np.sort(first).tolist():
-                cell = row * g + b_next
-                candidates.append((b_next, cell, rvec[cell]))
-        self._candidates[t - 1] = candidates
+            cells.append(np.sort(first) * g + b_next)
+        cells = np.concatenate(cells)
+        self._candidates[t - 1] = Candidates(cells % g, cells, rvec[cells])
 
     def _price_layer(self, t: int, a_in, lo: int = 0) -> tuple:
         """Best step over layer t's candidates for every (budget, row) cell.
 
         a_in is the (rows, pops, s_t) stack; only budget indices >= lo are
-        priced.  Each candidate is priced for every row and every budget
-        index it can serve, in block calls of at most _BLOCK_ROWS rows, and
-        a per-cell running best is replaced only on a strict `>`, so ties
-        go to the earlier candidate.  Returns (best, winner, kept, priced):
-        the (g - lo, rows) values and winning candidate indices, the
-        winners' matrices (None when pricing hands back none) and the number
-        of pairs priced.
+        priced.  Consecutive candidates that share their first priced budget
+        index, max(next budget index, lo), are priced together, in block
+        calls of at most _BLOCK_ROWS rows and _BLOCK_ROWS (candidate, row,
+        budget) triples, or of one candidate.  Within a block
+        the first maximum wins, and a per-cell running best is replaced only
+        on a strict `>`, so ties go to the earlier candidate.  Returns
+        (best, winner, kept, priced): the (g - lo, rows) values and winning
+        candidate indices, the winners' matrices (None when pricing hands
+        back none) and the number of pairs priced.
         """
         g = len(self.grid)
         n = len(a_in)
@@ -176,31 +209,38 @@ class BackwardDP:
         winner = np.zeros((g - lo, n), dtype=np.int64)
         kept = None
         priced = 0
-        for c, (b_next, next_cell, r_out) in enumerate(self._candidates[t]):
-            solver = self._solver_for(t, next_cell, r_out)
-            first = max(b_next, lo)
-            budgets = self.grid[first:] - self.grid[b_next]
-            for j in range(0, n, _BLOCK_ROWS):
-                cols = slice(j, j + _BLOCK_ROWS)
-                values, mats = self._price_block(solver, a_in[cols], budgets)
-                priced += values.size
-                cur = best[first - lo:, cols]
-                better = values > cur
-                if not np.count_nonzero(better):  # cheaper than .any()
-                    continue
-                cur[better] = values[better]
-                winner[first - lo:, cols][better] = c
-                if mats is not None:
-                    if kept is None:
-                        kept = np.empty(best.shape + mats.shape[2:])
-                    kept[first - lo:, cols][better] = mats[better]
+        b_next = self._candidates[t].budget
+        first = np.maximum(b_next, lo)
+        bounds = [0, *(np.flatnonzero(np.diff(first)) + 1).tolist(), len(first)]
+        for c0, c1 in zip(bounds, bounds[1:]):
+            f = first[c0]
+            per_block = max(1, _BLOCK_ROWS // (min(n, _BLOCK_ROWS) * (g - f)))
+            for k0 in range(c0, c1, per_block):
+                k1 = min(k0 + per_block, c1)
+                budgets = self.grid[f:, None] - self.grid[b_next[k0:k1]]
+                for j in range(0, n, _BLOCK_ROWS):
+                    cols = slice(j, j + _BLOCK_ROWS)
+                    values, mats = self._price_block(t, k0, k1, a_in[cols], budgets)
+                    priced += values.size
+                    pick, top, mats = _first_max(values, mats)
+                    cur = best[f - lo:, cols]
+                    better = top > cur
+                    if not np.count_nonzero(better):  # cheaper than .any()
+                        continue
+                    # Masked copies, cheaper than boolean-indexed ones.
+                    np.copyto(cur, top, where=better)
+                    np.copyto(winner[f - lo:, cols], k0 + pick, where=better)
+                    if mats is not None:
+                        if kept is None:
+                            kept = np.empty(best.shape + mats.shape[2:])
+                        np.copyto(kept[f - lo:, cols], mats, where=better[..., None, None])
         return best, winner, kept, priced
 
     def _build(self):
         """Fill the memo one layer at a time with `_price_layer`.
 
         The winners' matrices, unless pricing kept them, are then solved in
-        blocks of cells that share a winning candidate.
+        blocks of at most _BLOCK_ROWS cells, sorted by winning candidate.
         """
         inst = self.instance
         g = len(self.grid)
@@ -210,29 +250,27 @@ class BackwardDP:
             candidates = self._candidates[t]
             _, winner, kept, priced = self._price_layer(t, a_in)
             rvec = np.empty((n, g, inst.layer_sizes[t]))
-            # Cells grouped by winning candidate, in blocks of _BLOCK_ROWS.
             flat = winner.ravel()
             by_winner = np.argsort(flat, kind="stable")
             for lo in range(0, len(by_winner), _BLOCK_ROWS):
                 cells = by_winner[lo:lo + _BLOCK_ROWS]
-                bounds = np.flatnonzero(np.diff(flat[cells])) + 1
-                for part in np.split(cells, bounds):
-                    bi, j = np.divmod(part, n)
-                    b_next, next_cell, r_out = candidates[flat[part[0]]]
-                    if kept is not None:
-                        mats = kept[bi, j]
-                    else:
-                        mats = self._solve_block(
-                            self._solver_for(t, next_cell, r_out), a_in[j],
-                            self.grid[bi] - self.grid[b_next])
-                    rvec[j, bi] = r_out @ mats
+                bi, j = np.divmod(cells, n)
+                which = flat[cells]
+                if kept is not None:
+                    mats = kept[bi, j]
+                else:
+                    mats = self._solve_block(
+                        t, which, a_in[j],
+                        self.grid[bi] - self.grid[candidates.budget[which]])
+                # The stacked product reproduces `r_out @ m` per cell bitwise.
+                rvec[j, bi] = (candidates.value[which][:, None, :] @ mats)[:, 0]
             self._rvec[t] = rvec.reshape(n * g, -1)
             self._choice[t] = winner.T.ravel()
             self.cells_built += n * g
             self._group_layer(t)
             self.profile[t] = {
                 "cells": n * g,
-                "groups": len(self._candidates[t - 1]),
+                "groups": len(self._candidates[t - 1].cell),
                 "priced_pairs": priced,
             }
 
@@ -250,11 +288,11 @@ class BackwardDP:
         matrix = None if kept is None else kept[0, 0]
         mats, split = [], []
         while True:
-            b_next, next_cell, r_out = self._candidates[t][c]
+            candidates = self._candidates[t]
+            b_next, next_cell = candidates.budget[c], candidates.cell[c]
             step_budget = float(self.grid[bi] - self.grid[b_next])
             if matrix is None:
-                matrix = self._solve_block(self._solver_for(t, next_cell, r_out),
-                                           a_in[None], np.array([step_budget]))[0]
+                matrix = self._solve_block(t, [c], a_in[None], np.array([step_budget]))[0]
             mats.append(matrix)
             split.append(step_budget)
             if t == inst.depth - 2:
@@ -282,12 +320,12 @@ class WelfareDP(BackwardDP):
     pops = 1
     kind = "welfare"
 
-    def _price_block(self, solver, a_in, budgets):
+    def _price_block(self, t, lo, hi, a_in, budgets):
         # Values only: the winners' matrices are solved once afterwards.
-        return solver.value_block(a_in[:, 0], budgets), None
+        return self._segments(t).value_block(a_in[:, 0], budgets, lo, hi), None
 
-    def _solve_block(self, solver, a_in, budgets):
-        return solver.solve_block(a_in[:, 0], budgets)
+    def _solve_block(self, t, which, a_in, budgets):
+        return self._segments(t).solve_block(which, a_in[:, 0], budgets)
 
     def solve_for(self, d1) -> tuple:
         """(memo chain value, reconstructed plan) for a starting distribution.

@@ -14,14 +14,15 @@ LP relaxation of a multiple-choice knapsack with one class per donor entry:
 each donor's best gain for a given spend is the upper concave hull of its
 (cost, gain) options, and filling the hull edges of all donors best rate
 first is optimal.  With unit costs every option costs the same, so each
-donor's hull is one edge to its column's best target.  `WelfareStepSolver`
-builds every edge (a move segment) once, as one flat table sorted by column
-and rate, and every reader walks that table: the scalar heap walk, the numpy
-replay of it in `value_block`/`solve_block` (many (input, budget) pairs at
-once, bitwise equal to the walk, which the welfare DP prices every step
-with), and the two-population maximin step.  The scalar walk serves the
-blocks of a single pair (a DP query's steps) and the tests, as the reference
-the block forms are checked against.
+donor's hull is one edge to its column's best target.  `SegmentTable` builds
+every edge (a move segment) of a layer's step against k continuations once,
+one row per continuation sorted by column and rate, and every reader walks
+that table: `value_block`/`solve_block`, a numpy replay of the greedy for
+many (continuation, input, budget) triples at once, which the welfare DP
+prices and solves every step with; and `WelfareStepSolver`, the
+one-continuation case or a view of one row, whose scalar heap walk serves
+single triples, the maximin steps and the tests, as the reference the
+block forms are checked against.
 
 The maximin step couples populations, and needs no LP either.  By the
 minimax theorem its value is the smallest welfare-step value over mixtures
@@ -33,9 +34,10 @@ adversary's population mix, solved by `oracle.double_oracle` (Kelley's
 cutting planes, in game form: `_game_step`).  Every step reports the exact
 worst-population value of the matrix it returns.
 
-Both dynamic programs build one solver per continuation (r_out and the
-layer's m0, mask and weights) and price all its steps with it: the welfare
-DP through the block forms, the maximin DP through `solve_maximin_step`.
+Both dynamic programs build one table per layer over all its continuations
+(their r_out and the layer's m0, mask and weights): the welfare DP prices
+through its block forms, the maximin DP through `solve_maximin_step` with
+the table's rows (`SegmentTable.row`).
 """
 
 from __future__ import annotations
@@ -60,102 +62,249 @@ class LayerStepResult:
     path: str
 
 
-class WelfareStepSolver:
-    """Reusable exact solver for max r_out^T M d_in over feasible M.
+def _hull_edges(r, m0, mask, w):
+    """Per-edge costs: the edges of each donor's upper (cost, gain) hull.
 
-    Construction cost depends only on (r_out, m0, mask, weights); `solve`
-    and `value` can then be called for many (d_in, budget) pairs, which is
-    what the dynamic programs do, and `value_block`/`solve_block` answer a
-    whole batch of pairs in one call.  All of them read one segment table,
-    built here.
+    Moving a unit of mass from donor (v, u) to a malleable target (k, u)
+    costs w[v, u] + w[k, u] and gains r[k] - r[v].  The donor's best gain
+    for a given spend is the upper concave hull of its gaining options, from
+    the origin to the best gain; the step is the LP relaxation of a
+    multiple-choice knapsack with one class per donor, which a greedy over
+    these edges solves exactly (Sinha & Zoltners, 1979).  Edge e re-routes
+    the donor's mass from hull vertex e's target (the donor itself for
+    e = 0) to vertex e + 1's.  Returns the per-edge arrays (column, rate,
+    donor, edge, source, recipient, cost step).
+    """
+    edges = []
+    for v, u in zip(*np.nonzero(mask & (m0 > 0))):
+        options = [(w[v, u] + w[k, u], r[k] - r[v], k)
+                   for k in np.flatnonzero(mask[:, u] & (r > r[v]))]
+        hull, rates = [(0.0, 0.0, v)], []   # vertices (cost, gain, target)
+        # By cost, then decreasing gain, then target: a point no better
+        # than the last vertex is dominated.
+        for c, g, k in sorted(options, key=lambda o: (o[0], -o[1])):
+            if g <= hull[-1][1]:
+                continue
+            # Drop vertices on or below the new chord; comparing the
+            # stored rates keeps each donor's rates strictly decreasing.
+            while rates and (g - hull[-1][1]) / (c - hull[-1][0]) >= rates[-1]:
+                hull.pop()
+                rates.pop()
+            rates.append((g - hull[-1][1]) / (c - hull[-1][0]))
+            hull.append((c, g, k))
+        for e, rate in enumerate(rates):
+            (c0, _, src), (c1, _, dst) = hull[e], hull[e + 1]
+            edges.append((u, rate, v, e, src, dst, c1 - c0))
+    table = np.array(edges, dtype=float).reshape(-1, 7)
+    col, donor, edge, source, recipient = table[:, [0, 2, 3, 4, 5]].astype(np.intp).T
+    return col, table[:, 1], donor, edge, source, recipient, table[:, 6]
 
-    Weighted costs (`weights`, the per-entry cost of a unit of change) give
-    each donor one segment per edge of its (cost, gain) hull, built by
-    `_hull_edges`; a donor may buy a cheap mediocre target first and
-    re-route that mass to a dearer, better one as the budget grows.  Unit
-    costs give one segment per donor, built in closed form.  Both tables are
-    walked the same way.
+
+def _ranked_walk(eff, cap, remaining):
+    """Replay the greedy's heap walk for many rows at once, one rank at a time.
+
+    eff and cap are (..., w) effective rates and capacities of each row's
+    segments in table order; remaining is the budget, an array broadcast
+    against eff[..., 0] that the walk spends in place.  Yields (effective
+    rate, flat index of the segment in eff, take) per rank.  Each row's
+    segments are ranked by the heap's key (-rate * d[u], u, index): a
+    stable sort of the negated effective rates over the table.  Budget
+    beyond the last segment, or after the budget is spent, is taken as 0,
+    which adds exactly nothing; so per row and budget every sum and move
+    happens in the order the heap walk yields it, with the same operands.
+    """
+    width = eff.shape[-1]
+    if not width:
+        return
+    # Flat indices of each row's segments in rank order.
+    order = np.argsort(-eff, axis=-1, kind="stable")
+    order += np.arange(0, eff.size, width).reshape(order.shape[:-1] + (1,))
+    eff, cap = eff.ravel()[order], cap.ravel()[order]
+    for rank in range(width):
+        if not remaining.any():
+            return
+        take = np.minimum(cap[..., rank], remaining)
+        yield eff[..., rank], order[..., rank], take
+        remaining -= take
+
+
+def _check_budgets(budgets) -> np.ndarray:
+    budgets = np.asarray(budgets, dtype=float)
+    if not np.all(budgets >= 0):
+        raise ValueError(f"budget must be non-negative, got {budgets.min()}")
+    return budgets
+
+
+class SegmentTable:
+    """The welfare step's move segments for one layer against k continuations.
+
+    Row c holds the segments of the step against continuation R[c] (for the
+    layer's m0, mask and weights), sorted by (column, decreasing rate,
+    donor, edge) and padded at the end with zero-rate, zero-capacity
+    segments to the longest row; `count[c]` are real.  Scaling rates by
+    d_in[u] keeps the order within a column, so one row serves every input;
+    a donor's hull edges have decreasing rates, so they stay in hull order.
+    Unit costs are built for all continuations in one pass, weighted costs
+    by `_hull_edges` per continuation.
     """
 
-    def __init__(self, r_out, m0, mask, weights=None):
-        self.r_out = np.asarray(r_out, dtype=float)
+    def __init__(self, R, m0, mask, weights=None):
+        self.R = np.asarray(R, dtype=float)
         self.m0 = np.asarray(m0, dtype=float)
         self.mask = np.asarray(mask, dtype=bool)
         if self.m0.shape != self.mask.shape:
             raise ValueError("mask shape does not match matrix")
-        if self.r_out.shape != (self.m0.shape[0],):
+        if self.R.ndim != 2 or self.R.shape[1] != self.m0.shape[0]:
             raise ValueError("r_out length does not match target layer size")
         self.weights = None if weights is None else np.asarray(weights, dtype=float)
         if self.weights is not None and self.weights.shape != self.m0.shape:
             raise ValueError("weight shape does not match matrix")
-        # Base column values r_out^T m0[:, u].
-        self.col_base = self.r_out @ self.m0
+        k = len(self.R)
         # Whether some column has >= 2 malleable entries, so mass can move.
         self.can_move = bool(self.mask.sum(axis=0).max() >= 2)
+        # Base column values R[c]^T m0[:, u]; the stacked product reproduces
+        # `R[c] @ m0` per row bitwise, where `R @ m0` might not.
+        self.col_base = (self.R[:, None, :] @ self.m0)[:, 0]
         if self.weights is None:
-            # Every option costs 2 per unit of mass, so each donor's hull is
-            # one edge, to its column's best malleable target (the first of
-            # tied ones); a lone malleable entry is that target itself.
-            r = self.r_out
-            best = np.argmax(np.where(self.mask, r[:, None], -np.inf), axis=0)
-            gain = r[best] - r[:, None]
-            donor, col = np.nonzero(self.mask & (gain > 0) & (self.m0 > 0))
-            rate = gain[donor, col] / 2.0
-            edge, source, recipient = np.zeros_like(donor), donor, best[col]
+            # Each donor's hull is one edge, to its column's best malleable
+            # target (the first of tied ones); a lone malleable entry is
+            # that target itself.
+            R = self.R[:, :, None]
+            top = np.where(self.mask, R, -np.inf)
+            best = top.argmax(axis=1)
+            gain = top.max(axis=1)[:, None, :] - R
+            cand, donor, col = np.nonzero((gain > 0) & self.mask & (self.m0 > 0))
+            rate = gain[cand, donor, col] / 2.0
+            edge, source, recipient = np.zeros_like(donor), donor, best[cand, col]
             dc = np.full(len(donor), 2.0)
         else:
-            col, rate, donor, edge, source, recipient, dc = self._hull_edges()
-        # Every move segment, sorted by (column, decreasing rate, donor, edge).
-        # Scaling rates by d_in[u] keeps the order within a column, so one
-        # table serves every input; a donor's edges have decreasing rates,
-        # so they stay in hull order.
-        order = np.lexsort((edge, donor, -rate, col))
-        self._rate, self._col = rate[order], col[order]
-        self._source, self._recipient, self._dc = source[order], recipient[order], dc[order]
-        self._cap = self.m0[donor[order], self._col] * self._dc
+            parts = [_hull_edges(r, self.m0, self.mask, self.weights) for r in self.R]
+            cand = np.repeat(np.arange(k), [len(p[0]) for p in parts])
+            col, rate, donor, edge, source, recipient, dc = (
+                np.concatenate(a) for a in zip(*parts))
+        order = np.lexsort((edge, donor, -rate, col, cand))
+        fields = [a[order] for a in
+                  (rate, dc, self.m0[donor, col] * dc, col, source, recipient)]
+        cand = cand[order]
+        self.count = np.bincount(cand, minlength=k)
+        if k == 1:  # one row needs no padding
+            fields = [a[None] for a in fields]
+        else:
+            # Pad every row to the longest with zeros: a zero-capacity
+            # segment is never taken, so never moved.
+            at = cand, np.arange(len(cand)) - (np.cumsum(self.count) - self.count)[cand]
+            shape = k, int(self.count.max())
+            padded = [np.zeros(shape, a.dtype) for a in fields]
+            for out, a in zip(padded, fields):
+                out[at] = a
+            fields = padded
+        self.rate, self.dc, self.cap, self.col, self.source, self.recipient = fields
+        self._rows = {}  # continuation -> its WelfareStepSolver, see `row`
+
+    def row(self, c: int) -> "WelfareStepSolver":
+        """The scalar solver of continuation c, reading row c, made once."""
+        solver = self._rows.get(c)
+        if solver is None:
+            solver = self._rows[c] = WelfareStepSolver.__new__(WelfareStepSolver)
+            solver._read(self, c)
+        return solver
+
+    def value_block(self, D, budgets, lo=0, hi=None) -> np.ndarray:
+        """Step values of continuations lo:hi for every budget and input.
+
+        D is (n, s) inputs; budgets is (nb, hi - lo), or broadcasts to it.
+        Returns the (nb, n, hi - lo) values, value[b, i, c] being
+        `value(D[i], budgets[b, c])` against continuation lo + c.  A single
+        triple takes the scalar walk, which is cheaper there.
+        """
+        D = np.atleast_2d(np.asarray(D, dtype=float))
+        budgets = _check_budgets(budgets)
+        hi = len(self.R) if hi is None else hi
+        if len(D) == 1 and budgets.size == 1 and hi - lo == 1:
+            return np.array([[[self.row(lo).value(D[0], budgets.item())]]])
+        rows = slice(lo, hi)
+        # Padding past the block's longest row adds nothing.
+        width = int(self.count[rows].max(initial=0))
+        # The stacked product reproduces `col_base @ d` per pair bitwise.
+        start = (D[:, None, None, :] @ self.col_base[rows, :, None])[..., 0, 0]
+        values = np.repeat(start[None], len(budgets), axis=0)
+        d = D[:, self.col[rows, :width]]  # (n, k, width)
+        for step_eff, _, take in _ranked_walk(
+                self.rate[rows, :width] * d, np.where(d > 0, self.cap[rows, :width], 0.0),
+                budgets[:, None, :] + np.zeros(start.shape)):
+            values += step_eff * take
+        return values
+
+    def solve_block(self, which, D, budgets) -> np.ndarray:
+        """Greedy matrices of paired cells, stacked (n, rows, cols).
+
+        Cell i is input D[i] at budgets[i] against continuation which[i].
+        Moves touch only their own column, and the heap walk visits a
+        column's segments in table order, so the moves are applied in table
+        order, each only where its take is positive, as the walk yields it.
+        Cells that all share one continuation read its row as is, with no
+        per-cell gathers.
+        """
+        D = np.atleast_2d(np.asarray(D, dtype=float))
+        budgets = _check_budgets(budgets)
+        which = np.asarray(which, dtype=np.intp)
+        if len(D) == 1:
+            return self.row(which[0]).solve(D[0], budgets[0]).matrix[None]
+        one = bool(which.min() == which.max())
+        rows = which[:1] if one else which
+        width = int(self.count[rows].max())
+        rate, col, cap = (a[rows, :width] for a in (self.rate, self.col, self.cap))
+        source, recipient, dc = (a[rows, :width] for a in
+                                 (self.source, self.recipient, self.dc))
+        d = D[:, col[0]] if one else np.take_along_axis(D, col, axis=1)
+        m = np.repeat(self.m0[None], len(D), axis=0)
+        takes = np.zeros((len(D), width))
+        for _, at, take in _ranked_walk(rate * d, np.where(d > 0, cap, 0.0),
+                                        budgets + np.zeros(len(D))):
+            takes.flat[at] = take
+        for s in range(width):
+            hit = np.flatnonzero(takes[:, s] > 0)
+            if not len(hit):
+                continue
+            at = (0 if one else hit), s
+            u, sv, rv = col[at], source[at], recipient[at]
+            # The same mass as `solve`.
+            mass = np.minimum(takes[hit, s] / dc[at], m[hit, sv, u])
+            m[hit, sv, u] -= mass
+            # The same cap at 1 as `solve`.
+            m[hit, rv, u] = np.minimum(m[hit, rv, u] + mass, 1.0)
+        return m
+
+
+class WelfareStepSolver:
+    """Reusable exact solver for max r_out^T M d_in over feasible M.
+
+    The one-continuation case of `SegmentTable`, or a view of one of its
+    rows (`SegmentTable.row`): construction cost depends only on (r_out,
+    m0, mask, weights), and `solve` and `value` can then be called for many
+    (d_in, budget) pairs, which is what the maximin steps do.  Both walk the
+    row with a heap, one segment at a time: the reference the table's block
+    forms are checked against.
+    """
+
+    def __init__(self, r_out, m0, mask, weights=None):
+        r_out = np.asarray(r_out, dtype=float)
+        self._read(SegmentTable(r_out[None], m0, mask, weights), 0)
+
+    def _read(self, table, c):
+        self.r_out, self.m0, self.mask, self.weights = (
+            table.R[c], table.m0, table.mask, table.weights)
+        self.col_base = table.col_base[c]
+        self.can_move = table.can_move
+        n = table.count[c]
+        self._rate, self._col, self._cap = (
+            table.rate[c, :n], table.col[c, :n], table.cap[c, :n])
+        self._source, self._recipient, self._dc = (
+            table.source[c, :n], table.recipient[c, :n], table.dc[c, :n])
         # Column u's segments are _start[u]:_start[u + 1]; a list, as the
         # heap walk reads it one offset at a time.
         offsets = np.searchsorted(self._col, np.arange(self.m0.shape[1] + 1))
         self._start = offsets.tolist()
-
-    def _hull_edges(self):
-        """Per-edge costs: the edges of each donor's upper (cost, gain) hull.
-
-        Moving a unit of mass from donor (v, u) to a malleable target (k, u)
-        costs w[v, u] + w[k, u] and gains r_out[k] - r_out[v].  The donor's
-        best gain for a given spend is the upper concave hull of its gaining
-        options, from the origin to the best gain; the step is the LP
-        relaxation of a multiple-choice knapsack with one class per donor,
-        which a greedy over these edges solves exactly (Sinha & Zoltners,
-        1979).  Edge e re-routes the donor's mass from hull vertex e's
-        target (the donor itself for e = 0) to vertex e + 1's.  Returns the
-        per-edge arrays (column, rate, donor, edge, source, recipient,
-        cost step).
-        """
-        r, w = self.r_out, self.weights
-        edges = []
-        for v, u in zip(*np.nonzero(self.mask & (self.m0 > 0))):
-            options = [(w[v, u] + w[k, u], r[k] - r[v], k)
-                       for k in np.flatnonzero(self.mask[:, u] & (r > r[v]))]
-            hull, rates = [(0.0, 0.0, v)], []   # vertices (cost, gain, target)
-            # By cost, then decreasing gain, then target: a point no better
-            # than the last vertex is dominated.
-            for c, g, k in sorted(options, key=lambda o: (o[0], -o[1])):
-                if g <= hull[-1][1]:
-                    continue
-                # Drop vertices on or below the new chord; comparing the
-                # stored rates keeps each donor's rates strictly decreasing.
-                while rates and (g - hull[-1][1]) / (c - hull[-1][0]) >= rates[-1]:
-                    hull.pop()
-                    rates.pop()
-                rates.append((g - hull[-1][1]) / (c - hull[-1][0]))
-                hull.append((c, g, k))
-            for e, rate in enumerate(rates):
-                (c0, _, src), (c1, _, dst) = hull[e], hull[e + 1]
-                edges.append((u, rate, v, e, src, dst, c1 - c0))
-        table = np.array(edges, dtype=float).reshape(-1, 7)
-        col, donor, edge, source, recipient = table[:, [0, 2, 3, 4, 5]].astype(np.intp).T
-        return col, table[:, 1], donor, edge, source, recipient, table[:, 6]
 
     @functools.cached_property
     def _cross_pairs(self):
@@ -180,84 +329,6 @@ class WelfareStepSolver:
             remaining -= take
             if s + 1 < start[u + 1]:
                 heapq.heappush(heap, (-rate[s + 1] * d_in[u], u, s + 1))
-
-    def _block_walk(self, D, budgets):
-        """Replay `_walk` for many inputs at once, one segment rank at a time.
-
-        Yields (effective rate, segment index, take) per rank: the first two
-        are (n,) arrays over the rows of D, which is (n, s); budgets
-        broadcasts against (n,), and every take has the broadcast shape.
-        Each row's segments are ranked by the heap's key (-rate * d[u], u,
-        index): a stable sort of the negated effective rates over the table.
-        A column with d[u] == 0 never enters the heap, so it gets zero
-        capacity here.  Budget beyond the last segment, or after
-        the budget is spent, is taken as 0, which adds exactly nothing; so
-        per (input, budget) every sum and move happens in the order `_walk`
-        yields it, with the same operands.
-        """
-        d = D[:, self._col]
-        eff = self._rate * d
-        order = np.argsort(-eff, axis=1, kind="stable")
-        eff = np.take_along_axis(eff, order, axis=1)
-        cap = np.take_along_axis(np.where(d > 0, self._cap, 0.0), order, axis=1)
-        remaining = budgets + np.zeros(len(D))  # take shape
-        for rank in range(len(self._rate)):
-            if not remaining.any():
-                return
-            take = np.minimum(cap[:, rank], remaining)
-            yield eff[:, rank], order[:, rank], take
-            remaining -= take
-
-    def value_block(self, D, budgets) -> np.ndarray:
-        """`value` for every (budget, input) pair: a (len(budgets), len(D)) table.
-
-        Bitwise equal to calling `value` per pair.  A single pair goes to
-        `value`, as the heap walk is cheaper than the numpy one there.
-        """
-        D = np.atleast_2d(np.asarray(D, dtype=float))
-        budgets = np.asarray(budgets, dtype=float)
-        if not np.all(budgets >= 0):
-            raise ValueError(f"budget must be non-negative, got {budgets.min()}")
-        if D.shape[0] * budgets.size == 1:
-            return np.array([[self.value(D[0], budgets[0])]])
-        # The stacked product reproduces `col_base @ d` per row bitwise;
-        # `D @ col_base` can differ in the last bit.
-        start = (D[:, None, :] @ self.col_base[:, None])[:, 0, 0]
-        values = np.repeat(start[None, :], len(budgets), axis=0)
-        for eff, _, take in self._block_walk(D, budgets[:, None]):
-            values += eff * take
-        return values
-
-    def solve_block(self, D, budgets) -> np.ndarray:
-        """`solve(D[i], budgets[i]).matrix` for every row i, stacked (n, rows, cols).
-
-        Bitwise equal to calling `solve` per row.  Moves touch only their own
-        column, and `_walk` visits a column's segments in table order, so
-        the moves are applied in table order, each only where its take is
-        positive, as `_walk` yields it.  A single row goes to `solve`.
-        """
-        D = np.atleast_2d(np.asarray(D, dtype=float))
-        budgets = np.asarray(budgets, dtype=float)
-        if not np.all(budgets >= 0):
-            raise ValueError(f"budget must be non-negative, got {budgets.min()}")
-        if len(D) == 1:
-            return np.array([self.solve(d, b).matrix for d, b in zip(D, budgets)])
-        m = np.repeat(self.m0[None], len(D), axis=0)
-        takes = np.zeros((len(D), len(self._col)))
-        rows = np.arange(len(D))
-        for _, seg, take in self._block_walk(D, budgets):
-            takes[rows, seg] = take
-        for s in range(len(self._col)):
-            hit = np.flatnonzero(takes[:, s] > 0)
-            if not len(hit):
-                continue
-            u, sv, rv = self._col[s], self._source[s], self._recipient[s]
-            # The same mass as `solve`.
-            mass = np.minimum(takes[hit, s] / self._dc[s], m[hit, sv, u])
-            m[hit, sv, u] -= mass
-            # The same cap at 1 as `solve`.
-            m[hit, rv, u] = np.minimum(m[hit, rv, u] + mass, 1.0)
-        return m
 
     def value(self, d_in, budget) -> float:
         """Optimal objective only; no matrix is materialized."""

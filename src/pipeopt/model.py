@@ -27,6 +27,24 @@ def _as_matrix(x) -> np.ndarray:
     return m
 
 
+def _as_mask(x, t: int) -> np.ndarray:
+    """Mask t as a boolean array; an entry that is not a boolean is refused.
+
+    A number, a string or null would otherwise be read as its truth value.
+    """
+    mask = np.asarray(x)
+    if mask.dtype != bool:
+        for index in np.ndindex(mask.shape):
+            entry = x
+            for i in index:
+                entry = entry[i]
+            if not isinstance(entry, (bool, np.bool_)):
+                where = "".join(f"[{i}]" for i in index)
+                raise ValueError(f"malleable[{t}]{where} = {entry!r} is not a boolean")
+    # An empty list has no entry to refuse; its shape is checked later.
+    return mask.astype(bool)
+
+
 def _as_vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
@@ -124,7 +142,8 @@ def make_instance(
     """Assemble an Instance from plain sequences; mask defaults to all-true.
 
     Layer sizes must be integers; an integral float such as 3.0 is accepted,
-    a boolean is not.  The budget must be a number, not a string or boolean.
+    a boolean is not.  The budget must be a number, not a string or boolean,
+    and every mask entry a boolean, not a number, a string or None.
     """
     sizes = []
     for t, s in enumerate(layer_sizes):
@@ -138,7 +157,7 @@ def make_instance(
     if malleable is None:
         masks = tuple(np.ones_like(m, dtype=bool) for m in mats)
     else:
-        masks = tuple(np.asarray(m, dtype=bool) for m in malleable)
+        masks = tuple(_as_mask(m, t) for t, m in enumerate(malleable))
     return Instance(
         layer_sizes=tuple(sizes),
         initial_matrices=mats,

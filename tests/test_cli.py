@@ -347,6 +347,16 @@ MALFORMED = {
                       "budget = '1' is not a number"),
     "empty_malleable": (lambda d: d.__setitem__("malleable", []),
                         "malleable has 0 masks, expected 1"),
+    # Mask entries other than booleans were once read as their truth value:
+    # 2, "yes" and 0.5 as true, null as false.
+    "mask_number": (lambda d: d["malleable"][0][1].__setitem__(0, 2),
+                    "malleable[0][1][0] = 2 is not a boolean"),
+    "mask_string": (lambda d: d["malleable"][0][0].__setitem__(1, "yes"),
+                    "malleable[0][0][1] = 'yes' is not a boolean"),
+    "mask_fraction": (lambda d: d["malleable"][0][0].__setitem__(2, 0.5),
+                      "malleable[0][0][2] = 0.5 is not a boolean"),
+    "mask_null": (lambda d: d["malleable"][0][1].__setitem__(1, None),
+                  "malleable[0][1][1] = None is not a boolean"),
 }
 
 

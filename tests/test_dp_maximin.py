@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pipeopt as po
+from pipeopt import dp_maximin
 from pipeopt.dp_welfare import dp_cell_count
 from pipeopt.errors import CapacityError
 
@@ -126,25 +127,28 @@ class TestReportAndCaps:
         built = sum(dp.step_calls.values())
         assert built == sum(p["priced_pairs"] for p in profile.values())
         dp.solve()
-        first_layer = len(dp._candidates[0])
+        first_layer = len(dp._candidates[0].cell)
         assert sum(dp.step_calls.values()) == built + first_layer + inst.depth - 2
 
     def test_one_step_solver_per_continuation(self, monkeypatch):
-        # Every step against one continuation shares one solver, however
-        # many (row, budget) pairs the build prices against it.
-        made = []
-        init = po.WelfareStepSolver.__init__
+        # Every step against one continuation shares one solver, a row of
+        # its layer's segment table, however many (row, budget) pairs the
+        # build prices against it.
+        used = {}
+        step = dp_maximin.solve_maximin_step
 
-        def counting_init(self, *args, **kwargs):
-            made.append(self)
-            init(self, *args, **kwargs)
+        def recording_step(solver, a_in, budget):
+            used[id(solver)] = solver
+            return step(solver, a_in, budget)
 
-        monkeypatch.setattr(po.WelfareStepSolver, "__init__", counting_init)
+        monkeypatch.setattr(dp_maximin, "solve_maximin_step", recording_step)
         dp = po.MaximinDP(po.random_instance(7, 2, 4, 1.0, 1.0), 0.25)
         # Layer 0's candidates are priced only by a query.
-        assert len(made) == len(dp._solver_cache) == sum(
-            len(c) for t, c in dp._candidates.items() if t >= 1)
-        assert sum(dp.step_calls.values()) > len(made)
+        rows = [s for t, table in dp._steps.items() for s in table._rows.values()]
+        assert len(used) == len(rows) == sum(
+            len(c.cell) for t, c in dp._candidates.items() if t >= 1)
+        assert {id(s) for s in rows} == set(used)
+        assert sum(dp.step_calls.values()) > len(used)
 
     def test_population_tuple_counts(self):
         # Every layer tracks the multisets of `width` net points, and the

@@ -141,10 +141,10 @@ class TestReportAndCaps:
         assert profile[2]["priced_pairs"] == profile[2]["cells"]
         n = len(dp._table[1])
         assert profile[1]["priced_pairs"] == sum(
-            n * (g - b_next) for b_next, *_ in dp._candidates[1])
+            n * (g - b_next) for b_next in dp._candidates[1].budget)
         for t, p in profile.items():
             # Layer t's groups are the candidates of the layer above.
-            assert p["groups"] == len(dp._candidates[t - 1])
+            assert p["groups"] == len(dp._candidates[t - 1].cell)
             assert 0 < p["groups"] <= p["cells"]
 
     def test_cells_cap(self):
@@ -196,6 +196,18 @@ def _weighted(inst, seed):
     )
 
 
+def _narrow(seed, budget):
+    """Layers (2, 1, 3, 2).  The one-node layer has one cell per budget
+    index, so the first layer has one candidate per budget index, and past
+    saturation consecutive ones tie inside one query block."""
+    gen = np.random.default_rng(seed)
+    mats = []
+    for rows, cols in [(1, 2), (3, 1), (2, 3)]:
+        raw = gen.uniform(0.05, 1.0, (rows, cols))
+        mats.append(raw / raw.sum(axis=0))
+    return po.make_instance((2, 1, 3, 2), mats, (1.0, 0.3), (0.5, 0.5), budget)
+
+
 def reference_scan(dp, t, a_in, bi, solvers):
     """One cell priced candidate by candidate with the scalar step solvers.
 
@@ -207,7 +219,7 @@ def reference_scan(dp, t, a_in, bi, solvers):
     m0, mask = inst.initial_matrices[t], inst.malleable[t]
     weights = inst.cost_model.layer_weights(t)
     best = (-np.inf, -1, None)
-    for c, (b_next, next_cell, r_out) in enumerate(dp._candidates[t]):
+    for c, (b_next, next_cell, r_out) in enumerate(zip(*dp._candidates[t])):
         if b_next > bi:
             break
         budget = float(dp.grid[bi] - dp.grid[b_next])
@@ -224,7 +236,7 @@ def reference_scan(dp, t, a_in, bi, solvers):
             best = (value, c, matrix)
     value, c, matrix = best
     if matrix is None:
-        b_next, next_cell, _ = dp._candidates[t][c]
+        b_next, next_cell = dp._candidates[t].budget[c], dp._candidates[t].cell[c]
         budget = float(dp.grid[bi] - dp.grid[b_next])
         matrix = solvers[t, next_cell].solve(a_in[0], budget).matrix
     return value, c, matrix
@@ -233,21 +245,34 @@ def reference_scan(dp, t, a_in, bi, solvers):
 class TestBlockBuild:
     """Every built cell, and the query, against a per-cell scalar scan."""
 
-    @pytest.mark.parametrize("make", [
-        lambda: po.WelfareDP(po.random_instance(31, 3, 4, 1.0, 1.0), 0.3),
-        lambda: po.WelfareDP(po.random_instance(32, 2, 5, 0.6, 1.3), 0.25),
-        lambda: po.WelfareDP(_weighted(po.random_instance(33, 2, 3, 1.0, 0.6), 33),
-                             0.3),
-        lambda: po.MaximinDP(po.random_instance(34, 2, 4, 1.0, 1.0), 0.5),
-        lambda: po.MaximinDP(_weighted(po.random_instance(35, 2, 3, 0.7, 0.8), 35),
-                             0.5),
+    @pytest.mark.parametrize("block_rows, make", [
+        (None, lambda: po.WelfareDP(po.random_instance(31, 3, 4, 1.0, 1.0), 0.3)),
+        (None, lambda: po.WelfareDP(po.random_instance(32, 2, 5, 0.6, 1.3), 0.25)),
+        (None, lambda: po.WelfareDP(_weighted(po.random_instance(33, 2, 3, 1.0, 0.6), 33),
+                                    0.3)),
+        (None, lambda: po.MaximinDP(po.random_instance(34, 2, 4, 1.0, 1.0), 0.5)),
+        (None, lambda: po.MaximinDP(
+            _weighted(po.random_instance(35, 2, 3, 0.7, 0.8), 35), 0.5)),
         # Budgets past saturation make different candidates tie exactly;
         # the lowest budget index must win, as in the scan.
-        lambda: po.WelfareDP(po.random_instance(36, 2, 4, 1.0, 4.0), 0.5),
-        lambda: po.MaximinDP(po.random_instance(37, 2, 4, 1.0, 3.0), 0.5),
+        (None, lambda: po.WelfareDP(po.random_instance(36, 2, 4, 1.0, 4.0), 0.5)),
+        (None, lambda: po.MaximinDP(po.random_instance(37, 2, 4, 1.0, 3.0), 0.5)),
+        # Blocks of at most 3 rows, (candidate, row, budget) triples or
+        # cells split candidate chunks and row blocks mid-run, and mix
+        # winners in one solve.
+        (3, lambda: po.WelfareDP(po.random_instance(31, 3, 4, 1.0, 1.0), 0.3)),
+        (3, lambda: po.WelfareDP(_weighted(po.random_instance(33, 2, 3, 1.0, 0.6), 33),
+                                 0.3)),
+        (3, lambda: po.WelfareDP(po.random_instance(36, 2, 4, 1.0, 4.0), 0.5)),
+        (3, lambda: po.MaximinDP(po.random_instance(37, 2, 4, 1.0, 3.0), 0.5)),
+        (3, lambda: po.WelfareDP(_narrow(38, 3.0), 0.3)),
     ], ids=["welfare", "welfare-masked", "welfare-weighted", "maximin",
-            "maximin-weighted", "welfare-ties", "maximin-ties"])
-    def test_cells_match_scalar_scan(self, make):
+            "maximin-weighted", "welfare-ties", "maximin-ties", "welfare-blocks3",
+            "welfare-weighted-blocks3", "welfare-ties-blocks3", "maximin-ties-blocks3",
+            "welfare-narrow-blocks3"])
+    def test_cells_match_scalar_scan(self, block_rows, make, monkeypatch):
+        if block_rows is not None:
+            monkeypatch.setattr(dp_welfare, "_BLOCK_ROWS", block_rows)
         dp = make()
         g = len(dp.grid)
         solvers = {}
@@ -259,7 +284,7 @@ class TestBlockBuild:
                 a_in = dp.nets[t][table[row]]
                 _, c, m = reference_scan(dp, t, a_in, bi, solvers)
                 assert c == dp._choice[t][cell]
-                assert np.array_equal(rvec[cell], dp._candidates[t][c][2] @ m)
+                assert np.array_equal(rvec[cell], dp._candidates[t].value[c] @ m)
         # A query prices its first-layer cell at the top budget index.
         if isinstance(dp, po.MaximinDP):
             starts = [np.eye(dp.pops)]
@@ -273,9 +298,12 @@ class TestBlockBuild:
                 zeros)]
             queries = [dp.solve_for(a[0]) for a in starts]
         for a_in, (value, plan) in zip(starts, queries):
-            ref_value, _, ref_matrix = reference_scan(dp, 0, a_in, g - 1, solvers)
+            ref_value, c, ref_matrix = reference_scan(dp, 0, a_in, g - 1, solvers)
             assert value == ref_value
             assert np.array_equal(plan.matrices[0], ref_matrix)
+            # The same winner: tied candidates differ in the budget they pass on.
+            b_next = dp._candidates[0].budget[c]
+            assert plan.budget_split[0] == float(dp.grid[-1] - dp.grid[b_next])
 
 
 class TestWeightedCosts:

@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 
 import pipeopt as po
 from lp_reference import epigraph_lp
-from pipeopt.layerlp import WelfareStepSolver, solve_maximin_step
+from pipeopt.layerlp import SegmentTable, WelfareStepSolver, solve_maximin_step
 
 rng = np.random.default_rng(404)
 
@@ -310,12 +310,13 @@ class TestBudgetRefusal:
     ])
     def test_refused(self, call, budget):
         solver = WelfareStepSolver(self.r_out, self.m0, self.mask)
-        # The block forms get two pairs, so they take the numpy walk.
+        table = SegmentTable(self.r_out[None], self.m0, self.mask)
+        # The block forms get two triples, so they take the numpy walk.
         calls = {
             "value": lambda: solver.value(self.d_in, budget),
-            "value_block": lambda: solver.value_block(self.d_in, [0.5, budget]),
+            "value_block": lambda: table.value_block(self.d_in, [[0.5], [budget]]),
             "solve": lambda: solver.solve(self.d_in, budget),
-            "solve_block": lambda: solver.solve_block(np.eye(2), [0.5, budget]),
+            "solve_block": lambda: table.solve_block([0, 0], np.eye(2), [0.5, budget]),
             "solve_maximin_step": lambda: solve_maximin_step(solver, np.eye(2), budget),
         }
         with pytest.raises(ValueError, match="budget"):
@@ -418,40 +419,51 @@ def many_population_steps(draw):
 
 
 @st.composite
-def greedy_blocks(draw):
-    """(r_out, m0, mask, D, budgets, weights) for the block greedy: D is
-    (inputs, cols); weights is None (unit costs) half the time."""
+def segment_tables(draw):
+    """(R, m0, mask, D, budgets, weights) for a stacked segment table: R is
+    (1-6 continuations, rows), D is (inputs, cols) and budgets is (budgets,
+    continuations); weights is None (unit costs) half the time.  A
+    continuation is constant a third of the time, so it has no segments."""
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     m0 = _stochastic(_counts(draw, (rows, cols)))
-    r_out = _counts(draw, (rows,))
+    k = draw(st.integers(1, 6))
+    R = np.array([np.full(rows, float(draw(st.integers(0, 4))))
+                  if draw(st.integers(0, 2)) == 0 else _counts(draw, (rows,))
+                  for _ in range(k)])
     mask = np.array(draw(st.lists(st.booleans(), min_size=rows * cols,
                                   max_size=rows * cols))).reshape(rows, cols)
     if draw(st.booleans()):
         mask[:] = True
     d_in = _stochastic(_counts(draw, (cols, draw(st.integers(1, 3))))).T
-    budgets = np.array(draw(st.lists(st.floats(0, 2.5), min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        # Budget 0 and a budget past saturation in every continuation.
+        budgets = np.array([[0.0] * k, [10.0] * k])
+    else:
+        nb = draw(st.integers(1, 3))
+        budgets = np.array(draw(st.lists(st.floats(0, 2.5), min_size=nb * k,
+                                         max_size=nb * k))).reshape(nb, k)
     weights = _weights(draw, (rows, cols)) if draw(st.booleans()) else None
-    return r_out, m0, mask, d_in, budgets, weights
+    return R, m0, mask, d_in, budgets, weights
 
 
 def _block_case(r_out, m0, d_in, budgets, weights=None):
+    """A one-continuation table case: every budget against r_out."""
     m0 = np.asarray(m0, dtype=float)
-    return (np.asarray(r_out, dtype=float), m0, np.ones(m0.shape, dtype=bool),
-            np.asarray(d_in, dtype=float), np.asarray(budgets, dtype=float),
+    return (np.asarray(r_out, dtype=float)[None], m0, np.ones(m0.shape, dtype=bool),
+            np.asarray(d_in, dtype=float), np.asarray(budgets, dtype=float)[:, None],
             None if weights is None else np.asarray(weights, dtype=float))
 
 
 class TestBlockGreedy:
-    """`value_block`/`solve_block` against the scalar heap walk, bitwise."""
+    """The stacked segment table against per-continuation scalar walks, bitwise."""
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
-    @given(greedy_blocks())
+    @given(segment_tables())
     # An input with zero entries.
     @example(_block_case([1.0, 0.5, 0.0], [[0.2, 0.5, 0.1], [0.3, 0.2, 0.4],
                                            [0.5, 0.3, 0.5]],
                          [[0.6, 0.0, 0.4], [0.0, 1.0, 0.0]], [0.3, 1.1]))
-    # Budget 0.  This and the cap example below use two pairs: a single
-    # pair goes to the scalar walk, not the numpy one.
+    # Budget 0.
     @example(_block_case([1.0, 0.0], [[0.3, 0.6], [0.7, 0.4]],
                          [[0.5, 0.5], [0.2, 0.8]], [0.0]))
     # A budget that saturates every segment.
@@ -463,32 +475,53 @@ class TestBlockGreedy:
     # A column summing to 1 + ulp moved whole hits the cap at 1.
     @example(_block_case([1.0, 0.0, 0.0, 0.0], PLUS_ULP_COLUMN, [[1.0]],
                          [2.0, 3.0]))
-    # A solver with no segments.
+    # A table with no segments.
     @example(_block_case([0.7], [[1.0, 1.0]], [[0.4, 0.6]], [0.0, 1.0]))
     # Weighted: every donor's hull has two edges, the second re-routing mass
     # bought on the first; budgets inside each edge and past both.
     @example(_block_case(*HULL_CASE[:2], [[0.5, 0.5], [1.0, 0.0]],
                          [0.5, 1.5, 3.0], HULL_CASE[2]))
+    # Three continuations with two, none and one segment: the padded rows.
+    @example((np.array([[0.0, 1.0, 0.5], [0.3, 0.3, 0.3], [0.0, 0.0, 1.0]]),
+              np.array([[0.6, 0.2], [0.0, 0.8], [0.4, 0.0]]),
+              np.array([[True, True], [True, False], [True, True]]),
+              np.array([[0.5, 0.5], [0.0, 1.0]]),
+              np.array([[0.0, 0.4, 0.7], [1.0, 10.0, 0.2]]), None))
     def test_blocks_equal_scalar(self, case):
-        r_out, m0, mask, d_in, budgets, weights = case
-        solver = WelfareStepSolver(r_out, m0, mask, weights)
-        values = solver.value_block(d_in, budgets)
-        assert np.array_equal(
-            values, [[solver.value(d, b) for d in d_in] for b in budgets])
-        pairs_d = np.repeat(d_in, len(budgets), axis=0)
-        pairs_b = np.tile(budgets, len(d_in))
-        mats = solver.solve_block(pairs_d, pairs_b)
-        assert np.array_equal(
-            mats, [solver.solve(d, b).matrix for d, b in zip(pairs_d, pairs_b)])
+        R, m0, mask, d_in, budgets, weights = case
+        table = SegmentTable(R, m0, mask, weights)
+        solvers = [WelfareStepSolver(r, m0, mask, weights) for r in R]
+        values = table.value_block(d_in, budgets)
+        assert np.array_equal(values, [
+            [[solver.value(d, b) for solver, b in zip(solvers, row)] for d in d_in]
+            for row in budgets])
+        # A run of continuations prices as its slice of the whole table.
+        k = len(R)
+        for lo, hi in [(0, 1), (k // 2, k), (k - 1, k)]:
+            assert np.array_equal(
+                table.value_block(d_in, budgets[:, lo:hi], lo, hi), values[..., lo:hi])
+        # Every (continuation, input, budget) triple, sorted by continuation
+        # as the DP solves its winners.
+        which, i, b = (a.ravel() for a in np.meshgrid(
+            np.arange(k), np.arange(len(d_in)), np.arange(len(budgets)), indexing="ij"))
+        pairs_d, pairs_b = d_in[i], budgets[b, which]
+        mats = table.solve_block(which, pairs_d, pairs_b)
+        assert np.array_equal(mats, [solvers[c].solve(d, budget).matrix
+                                     for c, d, budget in zip(which, pairs_d, pairs_b)])
         assert np.all(mats <= 1.0)
+        # A block of one continuation reads its row without gathers.
+        for c in range(k):
+            one = which == c
+            assert np.array_equal(
+                table.solve_block(which[one], pairs_d[one], pairs_b[one]), mats[one])
         # The memo's continuation vectors come from the stacked product.
-        assert np.array_equal(r_out @ mats, [r_out @ m for m in mats])
+        assert np.array_equal((R[which][:, None, :] @ mats)[:, 0],
+                              [R[c] @ m for c, m in zip(which, mats)])
 
     def test_negative_budget_refused(self):
-        solver = WelfareStepSolver(np.array([1.0, 0.0]), np.eye(2),
-                                   np.ones((2, 2), dtype=bool))
+        table = SegmentTable(np.array([[1.0, 0.0]]), np.eye(2), np.ones((2, 2), dtype=bool))
         with pytest.raises(ValueError):
-            solver.solve_block(np.eye(2), np.array([0.5, -0.1]))
+            table.solve_block([0, 0], np.eye(2), np.array([0.5, -0.1]))
 
 
 class TestTwoPopulationDualStep:
