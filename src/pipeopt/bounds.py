@@ -154,51 +154,32 @@ def check_plan_bounds(instance: Instance, plan: InterventionPlan,
     m_val = maximin_value(instance, plan)
     cost_total = plan.total_cost(instance)
     eta = 0.0 if grid_step is None else float(grid_step)
-    out = [
-        BoundCheck(
-            name="welfare_upper_bound",
-            applicable=True,
-            passed=w_val <= welfare_upper_bound(instance) + 1e-6,
-            lhs=w_val,
-            rhs=welfare_upper_bound(instance),
-        )
-    ]
-    fair_prereq = instance.all_malleable() and exact_maximin
-    if instance.all_malleable():
-        floor = maximin_lower_bound(instance)
+    upper = welfare_upper_bound(instance)
+    out = [BoundCheck(name="welfare_upper_bound", applicable=True,
+                      passed=w_val <= upper + 1e-6, lhs=w_val, rhs=upper)]
+    if not instance.all_malleable():
+        return out
+    floor = maximin_lower_bound(instance) - eta * r
+    for name, lhs, rhs in (("maximin_value_floor", m_val, floor),
+                           ("maximin_welfare_floor", w_val, floor),
+                           ("initial_welfare_floor", w_val, initial_welfare(instance))):
         out.append(BoundCheck(
-            name="maximin_value_floor",
-            applicable=fair_prereq,
-            passed=(not fair_prereq) or m_val >= floor - eta * r - 1e-9,
-            lhs=m_val,
-            rhs=floor - eta * r,
-            note="exact maximin optima only" if not fair_prereq else "",
+            name=name,
+            applicable=exact_maximin,
+            passed=(not exact_maximin) or lhs >= rhs - 1e-9,
+            lhs=lhs,
+            rhs=rhs,
+            note="" if exact_maximin else "exact maximin optima only",
         ))
-        out.append(BoundCheck(
-            name="maximin_welfare_floor",
-            applicable=fair_prereq,
-            passed=(not fair_prereq) or w_val >= floor - eta * r - 1e-9,
-            lhs=w_val,
-            rhs=floor - eta * r,
-            note="exact maximin optima only" if not fair_prereq else "",
-        ))
-        out.append(BoundCheck(
-            name="initial_welfare_floor",
-            applicable=fair_prereq,
-            passed=(not fair_prereq) or w_val >= initial_welfare(instance) - 1e-9,
-            lhs=w_val,
-            rhs=initial_welfare(instance),
-            note="exact maximin optima only" if not fair_prereq else "",
-        ))
-        spend_applicable = fair_prereq and w_val < r - 1e-9
-        out.append(BoundCheck(
-            name="full_budget_spend",
-            applicable=spend_applicable,
-            passed=(not spend_applicable)
-            or abs(cost_total - instance.budget) <= max(eta, 1e-9),
-            lhs=cost_total,
-            rhs=instance.budget,
-            note="exact maximin optima below top reward only"
-            if not spend_applicable else "",
-        ))
+    spend_applicable = exact_maximin and w_val < r - 1e-9
+    out.append(BoundCheck(
+        name="full_budget_spend",
+        applicable=spend_applicable,
+        passed=(not spend_applicable)
+        or abs(cost_total - instance.budget) <= max(eta, 1e-9),
+        lhs=cost_total,
+        rhs=instance.budget,
+        note="exact maximin optima below top reward only"
+        if not spend_applicable else "",
+    ))
     return out

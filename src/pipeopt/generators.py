@@ -24,6 +24,8 @@ import numpy as np
 from .model import Instance, InterventionPlan, make_instance
 
 SEPARATION_DEFAULT_MAX_BUDGET = 0.6
+# Hops of every cover-reduction chain: the reduction's constant depth.
+CHAIN_LENGTH = 15
 
 
 def fairness_price_instance(width: int, tail_mass: float, budget: float) -> Instance:
@@ -125,87 +127,68 @@ def parse_edge_list(text: str) -> list:
     return edges
 
 
-def cover_reduction_instance(edges, cover_size: int, step: float, chain_length: int = 15):
+def _hops(n: int) -> list:
+    """The chain hops after the frozen edge layer, as (rows, each vertex's
+    target row, leak row): CHAIN_LENGTH - 1 hops onto the vertex copies plus
+    the leakage node n, then the hop onto (reward node, zero sink)."""
+    copies = (n + 1, np.arange(n), n)
+    return [copies] * (CHAIN_LENGTH - 1) + [(2, np.zeros(n, dtype=np.int64), 1)]
+
+
+def cover_reduction_instance(edges, cover_size: int, step: float):
     """Pipeline encoding of a vertex-cover question.
 
     Layers: one node per graph edge, then one node per vertex, then
-    chain_length-1 layers of vertex copies plus a leakage node, then a
+    CHAIN_LENGTH-1 layers of vertex copies plus a leakage node, then a
     rewarded node and a zero sink.  Each vertex-path edge carries probability
-    `step` with the remainder leaking; leakage is absorbing.  Malleable edges
-    are exactly the vertex-path edges and their leakage partners.  The budget
-    2*chain_length*cover_size*step is exactly what lifting `cover_size`
-    vertex paths by `step` per hop costs.
+    `step` with the remainder leaking; leakage is absorbing and frozen.
+    Malleable edges are exactly the vertex-path edges and their leakage
+    partners.  The budget 2*CHAIN_LENGTH*cover_size*step is exactly what
+    lifting `cover_size` vertex paths by `step` per hop costs.
 
     Returns (instance, metadata) where metadata carries the acceptance
-    threshold (a quarter of the lifted path probability (2*step)^chain_length)
+    threshold (a quarter of the lifted path probability (2*step)^CHAIN_LENGTH)
     in float and exact rational form.
     """
     edges = [(int(u), int(v)) for u, v in edges]
     if not edges:
         raise ValueError("graph has no edges")
-    if min(min(u, v) for u, v in edges) < 0:
-        raise ValueError("vertex ids must be non-negative")
+    for u, v in edges:
+        if min(u, v) < 0:
+            raise ValueError("vertex ids must be non-negative")
+        if u == v:
+            raise ValueError(f"self-loop ({u}, {v})")
     if not (0 < step < 0.5):
         raise ValueError(f"step must lie in (0, 0.5), got {step}")
     if cover_size < 1:
         raise ValueError("cover_size must be >= 1")
-    if chain_length < 2:
-        raise ValueError("chain_length must be >= 2")
     n = max(max(u, v) for u, v in edges) + 1
     m = len(edges)
-    k = chain_length
-    leak = n  # index of the leakage node in the wide layers
-
-    sizes = (m, n) + (n + 1,) * (k - 1) + (2,)
-    mats, masks = [], []
+    hops = _hops(n)
+    sizes = (m, n) + tuple(rows for rows, _, _ in hops)
 
     # Edge nodes split their mass between their two endpoints; frozen.
     m1 = np.zeros((n, m))
     for j, (u, v) in enumerate(edges):
         m1[u, j] = 0.5
         m1[v, j] = 0.5
-    mats.append(m1)
-    masks.append(np.zeros_like(m1, dtype=bool))
+    mats, masks = [m1], [np.zeros_like(m1, dtype=bool)]
 
-    # Vertices enter their chains: step forward, remainder leaks.
-    m2 = np.zeros((n + 1, n))
-    mask2 = np.zeros_like(m2, dtype=bool)
-    for v in range(n):
-        m2[v, v] = step
-        m2[leak, v] = 1.0 - step
-        mask2[v, v] = True
-        mask2[leak, v] = True
-    mats.append(m2)
-    masks.append(mask2)
+    # Each vertex copy steps forward with probability `step` and leaks the
+    # rest; the leakage node, from the second hop on, is absorbing and frozen.
+    vertices = np.arange(n)
+    for cols, (rows, target, leak) in zip(sizes[1:], hops):
+        mt = np.zeros((rows, cols))
+        mask = np.zeros_like(mt, dtype=bool)
+        mt[target, vertices] = step
+        mt[leak, vertices] = 1.0 - step
+        mask[target, vertices] = mask[leak, vertices] = True
+        if cols > n:
+            mt[leak, n] = 1.0
+        mats.append(mt)
+        masks.append(mask)
 
-    # Interior chain transitions; the leakage node is absorbing and frozen.
-    for _ in range(k - 2):
-        mi = np.zeros((n + 1, n + 1))
-        maski = np.zeros_like(mi, dtype=bool)
-        for v in range(n):
-            mi[v, v] = step
-            mi[leak, v] = 1.0 - step
-            maski[v, v] = True
-            maski[leak, v] = True
-        mi[leak, leak] = 1.0
-        mats.append(mi)
-        masks.append(maski)
-
-    # Final hop: each chain's last copy reaches the reward with probability
-    # `step` (its leakage partner here is the zero sink itself); the leakage
-    # node falls into the sink and is frozen.
-    mlast = np.zeros((2, n + 1))
-    masklast = np.zeros_like(mlast, dtype=bool)
-    for v in range(n):
-        mlast[0, v] = step
-        mlast[1, v] = 1.0 - step
-        masklast[0, v] = True
-        masklast[1, v] = True
-    mlast[1, leak] = 1.0
-    mats.append(mlast)
-    masks.append(masklast)
-
-    budget = 2.0 * k * cover_size * step
+    budget = 2.0 * CHAIN_LENGTH * cover_size * step
     instance = make_instance(
         layer_sizes=sizes,
         initial_matrices=mats,
@@ -215,13 +198,13 @@ def cover_reduction_instance(edges, cover_size: int, step: float, chain_length: 
         malleable=masks,
     )
     step_q = Fraction(step)
-    threshold = (2 * step_q) ** k / 4
+    threshold = (2 * step_q) ** CHAIN_LENGTH / 4
     meta = {
         "n_vertices": n,
         "edges": tuple(edges),
         "cover_size": cover_size,
         "step": step,
-        "chain_length": k,
+        "chain_length": CHAIN_LENGTH,
         "budget": budget,
         "threshold": float(threshold),
         "threshold_exact": threshold,
@@ -243,7 +226,7 @@ def verify_cover_plan(instance: Instance, meta: dict, cover) -> tuple:
     """Build the lift-the-cover-paths plan and return (plan, exact maximin value).
 
     Every path indexed by a cover vertex gets `step` more probability on each
-    of its chain_length edges, paid for by draining the paired leakage edge.
+    of its CHAIN_LENGTH hops, paid for by draining the paired leakage edge.
     The plan spends the instance budget exactly when |cover| == cover_size,
     and its maximin value is certified to be at least twice the metadata
     threshold (raises otherwise).
@@ -251,7 +234,6 @@ def verify_cover_plan(instance: Instance, meta: dict, cover) -> tuple:
     cover = sorted(set(int(v) for v in cover))
     n = meta["n_vertices"]
     step = meta["step"]
-    leak = n
     for u, v in meta["edges"]:
         if u not in cover and v not in cover:
             raise ValueError(f"not a vertex cover: edge ({u}, {v}) is uncovered")
@@ -260,13 +242,9 @@ def verify_cover_plan(instance: Instance, meta: dict, cover) -> tuple:
 
     mats = [m.copy() for m in instance.initial_matrices]
     split = [0.0] * len(mats)
-    for t in range(1, len(mats)):
-        last = t == len(mats) - 1
-        for v in cover:
-            target_row = 0 if last else v
-            leak_row = 1 if last else leak
-            mats[t][target_row, v] += step
-            mats[t][leak_row, v] -= step
+    for t, (_, target, leak) in enumerate(_hops(n), start=1):
+        mats[t][target[cover], cover] += step
+        mats[t][leak, cover] -= step
         split[t] = 2.0 * step * len(cover)
     plan = InterventionPlan(matrices=tuple(mats), budget_split=tuple(split))
 

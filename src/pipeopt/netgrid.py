@@ -30,7 +30,12 @@ _SNAP = 1e-9
 
 def budget_grid_size(budget: float, eps: float) -> int:
     """Number of points of `build_budget_grid(budget, eps)`."""
-    return int(math.floor(budget / eps + _SNAP)) + 1
+    steps = budget / eps + _SNAP
+    if not math.isfinite(steps):
+        raise CapacityError(
+            f"budget grid for budget={budget}, eps={eps} is too large: "
+            "budget / eps overflows")
+    return int(math.floor(steps)) + 1
 
 
 def build_budget_grid(budget: float, eps: float) -> np.ndarray:

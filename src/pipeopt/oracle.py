@@ -126,12 +126,9 @@ def _welfare_scores(vals, dist):
 
 def _joint_count(cost_arrays, max_units):
     """Exact number of cross-layer combinations with total cost <= max_units."""
-    conv = np.zeros(max_units + 1, dtype=np.float64)
-    binc = np.bincount(cost_arrays[0], minlength=max_units + 1)[: max_units + 1]
-    conv[: len(binc)] = binc
-    for costs in cost_arrays[1:]:
-        h = np.bincount(costs, minlength=max_units + 1)[: max_units + 1].astype(float)
-        conv = np.convolve(conv, h)[: max_units + 1]
+    conv = np.ones(1)
+    for costs in cost_arrays:
+        conv = np.convolve(conv, np.bincount(costs))[: max_units + 1]
     return float(conv.sum())
 
 
@@ -154,18 +151,18 @@ class GridPlanTable:
             # Enumeration bookkeeping is exact integer multiples of eta,
             # which only prices unit costs.
             raise ValueError("grid oracles support unit (l1) costs only")
+        if not math.isfinite(1.0 / eta):
+            raise CapacityError(f"grid step {eta} is too fine: 1 / eta overflows")
         self.instance = instance
         self.eta = float(eta)
-        self.max_units = int(math.floor(instance.budget / eta + _SNAP))
-        k1 = len(instance.initial_matrices)
-        self.layers = []
-        for t in range(k1):
-            self.layers.append(
-                _layer_candidates(
-                    instance.initial_matrices[t], instance.malleable[t],
-                    eta, self.max_units, cap,
-                )
-            )
+        units = instance.budget / eta + _SNAP
+        budget_units = math.floor(units) if math.isfinite(units) else math.inf
+        self.layers = [_layer_candidates(m0, mask, eta, budget_units, cap)
+                       for m0, mask in zip(instance.initial_matrices, instance.malleable)]
+        # No plan spends more than every transition's dearest candidate
+        # together, so a larger budget buys nothing and is not counted.
+        self.max_units = min(budget_units, sum(int(c.max()) for _, c in self.layers))
+        k1 = len(self.layers)
         self.total_plans = _joint_count([c for _, c in self.layers], self.max_units)
         if self.total_plans > cap:
             raise CapacityError(

@@ -1,7 +1,9 @@
 """Serialization round-trips and the command-line surface."""
 
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -484,6 +486,26 @@ class TestInputRefusal:
         assert exc.value.code == 2
         assert "expected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,expected", [
+        (["solve-welfare", "--epsilon", "0.5"], 3),
+        (["solve-maximin", "--epsilon", "0.5"], 3),
+        (["solve-exante", "--epsilon", "0.5"], 3),
+        (["bounds", "--epsilon", "0.5"], 3),
+        (["oracle", "--grid", "0.5"], 0),
+    ], ids=lambda a: a[0] if isinstance(a, list) else str(a))
+    def test_budget_grid_overflow(self, capsys, tmp_path, contrast_file, argv,
+                                  expected):
+        # A finite budget whose budget / eps overflows once ended in an
+        # OverflowError: the DPs refuse its grid by name, and the oracle
+        # clips the budget to what its dearest plan can spend.
+        path = _mutate(contrast_file, tmp_path, lambda d: d.__setitem__("budget", 1e308))
+        assert main(["validate", "--instance", path]) == 0
+        code = main([argv[0], "--instance", path, *argv[1:]])
+        err = capsys.readouterr().err
+        assert code == expected
+        if expected == 3:
+            assert "budget grid" in err
+
     @pytest.mark.parametrize("argv", [
         ["--w", "0"],
         ["--k", "1"],
@@ -497,3 +519,103 @@ class TestInputRefusal:
         assert exc.value.code == 2
         assert "expected" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _weighted_masked_instance():
+    inst = po.random_instance(5, 2, 3, 0.7, 0.8)
+    rng = np.random.default_rng(5)
+    weights = tuple(rng.uniform(0.5, 2.0, m.shape) for m in inst.initial_matrices)
+    return po.make_instance(inst.layer_sizes, inst.initial_matrices, inst.rewards,
+                            inst.initial_distribution, inst.budget, inst.malleable,
+                            cost_model=po.CostModel("weighted_l1", weights))
+
+
+FUZZ_BASES = [
+    instance_to_dict(po.fairness_price_instance(3, 0.1, 1.0)),
+    instance_to_dict(po.random_instance(4, 2, 3, 0.6, 0.5)),
+    instance_to_dict(_weighted_masked_instance()),
+]
+FUZZ_LEAVES = ["x", True, False, None, float("nan"), [], {}, -1, 0, 1e308]
+FUZZ_SOLVES = [["solve-welfare", "--epsilon", "0.5"],
+               ["solve-maximin", "--epsilon", "0.5"],
+               ["oracle", "--grid", "0.5"]]
+
+
+def _nodes(obj, path=()):
+    """Every (path, value) of a JSON document, the root first."""
+    yield path, obj
+    if isinstance(obj, (dict, list)):
+        for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            yield from _nodes(value, path + (key,))
+
+
+def _parent(data, path):
+    for key in path[:-1]:
+        data = data[key]
+    return data
+
+
+def _fuzz_cases(rng, draws):
+    """(document, description) pairs: each base's budget set to each
+    replacement leaf, then `draws` random mutations.  A mutation drops a
+    key, truncates or extends a list at any depth, or replaces a leaf."""
+    for data in FUZZ_BASES:
+        for leaf in FUZZ_LEAVES:
+            yield {**data, "budget": leaf}, f"budget = {leaf!r}"
+    for _ in range(draws):
+        data = json.loads(json.dumps(rng.choice(FUZZ_BASES)))
+        nodes = list(_nodes(data))
+        kind = rng.choice(["drop", "list", "leaf"])
+        if kind == "drop":
+            path = rng.choice([p for p, _ in nodes
+                               if p and isinstance(_parent(data, p), dict)])
+            del _parent(data, path)[path[-1]]
+            yield data, f"drop {path}"
+        elif kind == "list":
+            path, items = rng.choice([(p, v) for p, v in nodes
+                                      if isinstance(v, list) and v])
+            if rng.random() < 0.5:
+                del items[rng.randrange(len(items)):]
+                yield data, f"truncate {path} to {len(items)}"
+            else:
+                items.append(json.loads(json.dumps(rng.choice(items))))
+                yield data, f"extend {path}"
+        else:
+            path = rng.choice([p for p, v in nodes
+                               if p and not isinstance(v, (dict, list))])
+            leaf = rng.choice(FUZZ_LEAVES)
+            _parent(data, path)[path[-1]] = leaf
+            yield data, f"{path} = {leaf!r}"
+
+
+def _objectives(report):
+    if "objective" in report:
+        return [report["objective"]]
+    return [v["value"] for v in report.values() if isinstance(v, dict)]
+
+
+def _fuzz_run(capsys, argv, path, what):
+    """(exit code, stdout) of one command; every exit is 0, 2 or 3."""
+    try:
+        code = main([argv[0], "--instance", str(path), *argv[1:]])
+    except Exception as exc:  # any escape is what the fuzz looks for
+        pytest.fail(f"{what}: {argv[0]} raised {exc!r}")
+    assert code in (0, 2, 3), f"{what}: {argv[0]} exited {code}"
+    return code, capsys.readouterr().out
+
+
+def test_mutated_instance_fuzz(capsys, tmp_path):
+    """Every command on a mutated instance file exits 0, 2 or 3 with no
+    exception escaping, and a file `validate` accepts never ends in a
+    solver error or a non-finite objective."""
+    path = tmp_path / "mutated.json"
+    for data, what in _fuzz_cases(random.Random(20), draws=400):
+        path.write_text(json.dumps(data))  # writes NaN literals
+        valid = _fuzz_run(capsys, ["validate"], path, what)[0] == 0
+        for argv in FUZZ_SOLVES:
+            code, out = _fuzz_run(capsys, argv, path, what)
+            if valid:
+                assert code != 1, f"{what}: {argv[0]} exited 1"
+                assert code != 0 or all(
+                    math.isfinite(v) for v in _objectives(json.loads(out))
+                ), f"{what}: {argv[0]} reported {out}"

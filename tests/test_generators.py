@@ -145,6 +145,28 @@ class TestCoverReduction:
             po.parse_edge_list("x 2\n")
         with pytest.raises(ValueError, match="non-negative"):
             po.cover_reduction_instance([(-1, 0), (1, 2)], 2, 0.25)
+        # A self-loop once built an edge column summing to 1/2.
+        with pytest.raises(ValueError, match=r"self-loop \(0, 0\)"):
+            po.cover_reduction_instance([(0, 0), (0, 1)], 2, 0.25)
+
+    @pytest.mark.parametrize("edges,kappa,cover,instance_digest,plan_digest", [
+        (TRIANGLE, 2, [0, 1],
+         "44411690dc0c5d3942c45863276d76be8cd70195de8f8b3f751855dacd4f7968",
+         "dde8635aa71e3c65d04b1beade32397114b6e3ad58b704c7f70a297ec947d742"),
+        ([(i, (i + 1) % 8) for i in range(8)], 4, [0, 2, 4, 6],
+         "ad95f77ca607fab19b9a9a5a9b15c850044521aff0dfbe8da5d1380b61097c5c",
+         "d713834b0501905d82038145535ed07020b78c348a08692acb8d40dc326af20a"),
+    ], ids=["triangle", "8-cycle"])
+    def test_golden_digests(self, edges, kappa, cover, instance_digest, plan_digest):
+        # Pins every entry of the instance and of the certificate plan.
+        def digest(obj):
+            blob = json.dumps(obj, sort_keys=True)
+            return hashlib.sha256(blob.encode()).hexdigest()
+
+        inst, meta = po.cover_reduction_instance(edges, kappa, 0.25)
+        assert digest(instance_to_dict(inst)) == instance_digest
+        plan, _ = po.verify_cover_plan(inst, meta, cover)
+        assert digest([m.tolist() for m in plan.matrices]) == plan_digest
 
 
 class TestRandomFamily:

@@ -413,6 +413,30 @@ class TestCaps:
         with pytest.raises(CapacityError):
             po.oracle_welfare(inst, 0.05, cap=100)
 
+    def test_budget_beyond_every_plan_costs_nothing(self):
+        # No grid plan spends more than the sum of each transition's dearest
+        # variant, so every budget above that gives the B = 10 table.  Plan
+        # counting once grew with the budget (a 1e300 budget asked numpy for
+        # an impossible array) and a 1e308 budget overflowed budget / eta.
+        def support(plan):
+            return plan.support if isinstance(plan, po.MixedPlan) else ((1.0, plan),)
+
+        for fn in (po.oracle_welfare, po.oracle_expost_maximin,
+                   po.oracle_exante_maximin):
+            value, plan = fn(po.random_instance(3, 2, 3, 1.0, 10.0), 0.5)
+            for budget in (1e300, 1e308):
+                other_value, other = fn(po.random_instance(3, 2, 3, 1.0, budget), 0.5)
+                assert other_value == value
+                for (v, a), (w, b) in zip(support(other), support(plan), strict=True):
+                    assert v == w
+                    assert_same_plan(a, b)
+
+    def test_grid_step_too_fine_refused(self):
+        # 1 / eta overflows a float: refused by name, not an OverflowError.
+        inst = po.fairness_price_instance(3, 0.1, 1.0)
+        with pytest.raises(CapacityError, match="too fine"):
+            po.oracle_welfare(inst, 1e-320)
+
 
 class TestCostModelSupport:
     def test_weighted_costs_rejected(self):
