@@ -3,13 +3,16 @@
 `MaximinDP` runs the shared engine `dp_welfare.BackwardDP` with one tracked
 population per first-layer node: a cell guesses one distribution per
 population (a tuple of simplex-net points), and the connecting transition is
-priced by the maximin step that maximizes the worst population's value
-(`solve_maximin_step`, given the continuation's `WelfareStepSolver` row of
-the engine's layer table: a breakpoint search for two populations, a double
-oracle over greedy matrices for three or more, with unit or weighted costs
-alike, and no LP).  At the
-first layer the population tuple is exact: each population sits on its own
-starting node.
+priced by the maximin step that maximizes the worst population's value,
+with unit or weighted costs alike, and no LP.  With two populations the
+step is a breakpoint search, and pricing hands whole blocks of (row,
+budget, candidate) cells to `two_population_block`, which prices them in
+numpy against the engine's layer table exactly as the scalar step would.
+With three or more it is a double oracle over greedy matrices, one
+`solve_maximin_step` per cell with the continuation's `WelfareStepSolver`
+row of that table.  Solving a query's step below the first layer is one
+`solve_maximin_step` for any number of populations.  At the first layer the
+population tuple is exact: each population sits on its own starting node.
 
 The step is symmetric in the populations, so a cell tracks a multiset of
 net points: C(n+p-1, p) multisets for an n-point net and p populations.
@@ -24,7 +27,7 @@ from collections import Counter
 
 import numpy as np
 
-from .layerlp import solve_maximin_step
+from .layerlp import solve_maximin_step, two_population_block
 from .model import Instance, SolveReport, evaluate_population_rewards
 # Not used here; the traced benchmark wraps these names on this module.
 from .netgrid import build_budget_grid, build_simplex_net  # noqa: F401
@@ -48,8 +51,16 @@ class MaximinDP(BackwardDP):
         return res
 
     def _price_block(self, t, lo, hi, a_in, budgets):
-        # Every step is a dual or game solve that makes its matrix anyway;
-        # handing them all back means no cell is solved twice.
+        # Every step makes its matrix anyway; handing them all back means no
+        # cell is solved twice.
+        if self.pops == 2:
+            values, mats, dual = two_population_block(self._segments(t), lo, hi,
+                                                      a_in, budgets)
+            steps = int(np.count_nonzero(dual)) * len(a_in)
+            for path, calls in (("dual", steps), ("initial", values.size - steps)):
+                if calls:
+                    self.step_calls[path] += calls
+            return values, mats
         solvers = [self._segments(t).row(c) for c in range(lo, hi)]
         steps = [[[self._step(solver, a, float(b)) for solver, b in zip(solvers, row)]
                   for a in a_in] for row in budgets]

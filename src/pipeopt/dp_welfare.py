@@ -39,8 +39,10 @@ winners down, solving each step with a one-cell `_solve_block`.  Both
 DPs read one `SegmentTable` per layer over all its candidates, built once.
 WelfareDP's hooks are its `value_block`/`solve_block`, a vectorized greedy
 that reproduces the scalar one bitwise, for unit and weighted costs alike.
-MaximinDP's hooks loop over `solve_maximin_step` per step, with the
-table's `WelfareStepSolver` row of the step's candidate.
+MaximinDP prices two populations with `layerlp.two_population_block`, which
+reproduces the scalar step bitwise, and three or more with one
+`solve_maximin_step` per step on the table's `WelfareStepSolver` row of the
+step's candidate; its `_solve_block` takes that scalar step for either.
 
 Welfare is the one-population case: a cell tracks one layer distribution and
 the step is the exact welfare step.  Everything below layer 1 is independent

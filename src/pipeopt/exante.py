@@ -31,6 +31,7 @@ from .model import (
     evaluate_population_rewards,
 )
 from .dp_welfare import WelfareDP, dp_cell_count
+from .errors import CapacityError
 from .netgrid import budget_grid_size
 from .oracle import double_oracle
 
@@ -147,7 +148,12 @@ def solve_exante_maximin(instance: Instance, epsilon: float, rounds: int | None 
     beta = 1.0 / (1.0 + math.sqrt(2 * math.log(pops) / t_max)) if pops >= 2 else 0.5
 
     requested = epsilon / (3 * (instance.depth - 1))
-    eps_br, coarsened = _effective_br_epsilon(instance, requested, br_cells_cap)
+    try:
+        eps_br, coarsened = _effective_br_epsilon(instance, requested, br_cells_cap)
+    except CapacityError as exc:
+        raise CapacityError(
+            f"best-response step epsilon / (3(k-1)) = {requested} for epsilon={epsilon}, "
+            f"k={instance.depth}: {exc}") from exc
     dp = WelfareDP(instance, eps_br, cells_cap=max(br_cells_cap, 1))
 
     plans = {}  # plan key -> plan, for every response found

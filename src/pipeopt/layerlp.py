@@ -19,10 +19,10 @@ every edge (a move segment) of a layer's step against k continuations once,
 one row per continuation sorted by column and rate, and every reader walks
 that table: `value_block`/`solve_block`, a numpy replay of the greedy for
 many (continuation, input, budget) triples at once, which the welfare DP
-prices and solves every step with; and `WelfareStepSolver`, the
-one-continuation case or a view of one row, whose scalar heap walk serves
-single triples, the maximin steps and the tests, as the reference the
-block forms are checked against.
+prices and solves every step with (and `two_population_block` its side
+matrices); and `WelfareStepSolver`, the one-continuation case or a view of one row, whose
+scalar heap walk serves single triples, the scalar maximin steps and the
+tests, as the reference the block forms are checked against.
 
 The maximin step couples populations, and needs no LP either.  By the
 minimax theorem its value is the smallest welfare-step value over mixtures
@@ -36,8 +36,10 @@ worst-population value of the matrix it returns.
 
 Both dynamic programs build one table per layer over all its continuations
 (their r_out and the layer's m0, mask and weights): the welfare DP prices
-through its block forms, the maximin DP through `solve_maximin_step` with
-the table's rows (`SegmentTable.row`).
+through its block forms; the maximin DP prices two populations through
+`two_population_block`, the two-population step for many cells at once and
+bitwise the same, and three or more through `solve_maximin_step` with the
+table's rows (`SegmentTable.row`).
 """
 
 from __future__ import annotations
@@ -422,6 +424,154 @@ def _two_population_step(solver, a_in, budget) -> LayerStepResult:
         m = np.where(left == right, left, theta * left + (1.0 - theta) * right)
     values = (r_out @ m) @ a_in.T
     return LayerStepResult(matrix=m, objective=float(values.min()), path="dual")
+
+
+# Most (cell, point, segment) entries one `two_population_block` call's
+# greedy replay may span; a larger block is priced in row chunks.
+_PAIR_BLOCK_ENTRIES = 1 << 20
+
+
+def _merged_crossings(table, lo, hi, a1, a2):
+    """The breakpoints `_two_population_step` keeps, for every (row, candidate).
+
+    Returns the (n, hi - lo, P) points, 0, the kept crossings ascending and
+    1, padded with more 1s (which price exactly as the first), and the
+    (n, hi - lo) number of real points.  A crossing is kept when it lies
+    more than _CROSSING_MERGE_TOL past the previous one; that agrees with
+    the step's sequential rule (past the previous *kept* one) unless a
+    dropped crossing lies that far past the last kept one, which takes a
+    chain of drops, and such rows are merged sequentially.
+    """
+    count = table.count[lo:hi]
+    w = int(count.max(initial=0))
+    rate, col = table.rate[lo:hi, :w], table.col[lo:hi, :w]
+    # Effective rate of segment s at lam: base[s] + lam * slope[s].
+    base, slope = rate * a2[:, col], rate * (a1 - a2)[:, col]
+    i, j = np.triu_indices(w, k=1)
+    den = slope[..., i] - slope[..., j]
+    ok = (den != 0) & (col[:, i] != col[:, j]) & (j < count[:, None])
+    # A subnormal input can put a crossing past the float range: inf, dropped.
+    with np.errstate(over="ignore"):
+        lams = (base[..., j] - base[..., i]) / np.where(ok, den, 1.0)
+    ok &= (lams > _CROSSING_MERGE_TOL) & (lams < 1.0 - _CROSSING_MERGE_TOL)
+    # Dropped pairs sort last, as 2.
+    lams = np.sort(np.where(ok, lams, 2.0), axis=-1)
+    real = lams < 2.0
+    kept = real.copy()
+    kept[..., 1:] &= lams[..., 1:] - lams[..., :-1] > _CROSSING_MERGE_TOL
+    dropped = real & ~kept
+    if (dropped[..., 1:] & dropped[..., :-1]).any():
+        # Measure each drop from the last kept crossing before it.
+        last = np.maximum.accumulate(np.where(kept, np.arange(lams.shape[-1]), 0), axis=-1)
+        far = dropped & (lams - np.take_along_axis(lams, last, -1) > _CROSSING_MERGE_TOL)
+        for r, c in zip(*np.nonzero(far.any(axis=-1))):
+            point = 0.0
+            for e in np.flatnonzero(real[r, c]):
+                kept[r, c, e] = lams[r, c, e] - point > _CROSSING_MERGE_TOL
+                if kept[r, c, e]:
+                    point = lams[r, c, e]
+    inner = kept.sum(axis=-1)
+    points = np.ones(kept.shape[:-1] + (int(inner.max(initial=0)) + 2,))
+    points[..., 0] = 0.0
+    inner_points = np.sort(np.where(kept, lams, 1.0), axis=-1)
+    points[..., 1:-1] = inner_points[..., :points.shape[-1] - 2]
+    return points, inner + 2
+
+
+def _worst_values(rm, a_in):
+    """min_j rm @ a_in[j] per cell, as `(r_out @ m) @ a_in.T` computes it."""
+    return (rm[..., None, :] @ np.swapaxes(a_in, -1, -2))[..., 0, :].min(axis=-1)
+
+
+def two_population_block(table, lo, hi, a_in, budgets) -> tuple:
+    """`solve_maximin_step` of two populations for many cells, bitwise.
+
+    Prices candidates lo:hi of the `SegmentTable` against every row of the
+    (n, 2, s) stack a_in, candidate lo + c at budgets[b, c] (budgets is
+    (nb, hi - lo)), each cell exactly as `_two_population_step` (or the
+    initial path) prices it: W at every kept breakpoint in one greedy
+    replay, the first minimum, the matrices of the pieces on both sides of
+    it in one `SegmentTable.solve_block` call (a side the step does not
+    use is solved and dropped), then the equalizing mix.  Returns the
+    (nb, n, hi - lo) values, the matching (nb, n, hi - lo, rows, s)
+    matrices, and the (nb, 1, hi - lo) mask of the cells on the dual path;
+    the others (no budget, or nothing movable) keep m0.
+    """
+    # Contiguous, as the DP's stacks are: BLAS may sum a strided pair in
+    # another order.
+    a_in = np.ascontiguousarray(a_in, dtype=float)
+    s = table.m0.shape[1]
+    if a_in.ndim != 3 or a_in.shape[1:] != (2, s) or not math.isfinite(a_in.sum()):
+        raise ValueError(f"a_in must be a finite (rows, 2, {s}) array, "
+                         f"got shape {a_in.shape}")
+    budgets = _check_budgets(budgets)
+    n, k, nb = len(a_in), hi - lo, len(budgets)
+    w = int(table.count[lo:hi].max(initial=0))
+    # A row holds at most w (w - 1) / 2 crossings, so this many rows keep
+    # the replay within _PAIR_BLOCK_ENTRIES (cell, point, segment) entries.
+    step = max(1, _PAIR_BLOCK_ENTRIES // (nb * k * max(w, 1) * (w * (w - 1) // 2 + 2)))
+    if n > step:
+        parts = [two_population_block(table, lo, hi, a_in[r:r + step], budgets)
+                 for r in range(0, n, step)]
+        return (np.concatenate([v for v, _, _ in parts], axis=1),
+                np.concatenate([m for _, m, _ in parts], axis=1), parts[0][2])
+    R = table.R[lo:hi]
+    dual = ((budgets > 0) & table.can_move)[:, None, :]
+    if not dual.any():
+        mats = np.empty((nb, n, k) + table.m0.shape)
+        mats[...] = table.m0
+        initial = _worst_values(table.col_base[lo:hi], a_in[:, None])
+        return np.repeat(initial[None], nb, axis=0), mats, dual
+    a1, a2 = a_in[:, 0], a_in[:, 1]
+    points, npoints = _merged_crossings(table, lo, hi, a1, a2)
+    # W at every point and budget: the replay of `SegmentTable.value_block`.
+    lam = points[..., None]
+    mu = 1.0 - lam
+    # The stacked product reproduces `col_base @ d` per point bitwise.
+    W = ((lam * a1[:, None, None] + mu * a2[:, None, None])[..., None, :]
+         @ table.col_base[lo:hi, None, :, None])[..., 0, 0]
+    W = np.repeat(W[None], nb, axis=0)
+    rate, cap, col = (a[lo:hi, None, :w] for a in (table.rate, table.cap, table.col))
+    # The points' inputs at each segment's column, mixed as above.
+    d = lam * a1[:, col] + mu * a2[:, col]
+    for eff, _, take in _ranked_walk(rate * d, np.where(d > 0, cap, 0.0),
+                                     budgets[:, None, :, None] + np.zeros(W.shape[1:])):
+        W += eff * take
+    # The first minimum and the pieces on either side of it; at either end
+    # of [0, 1] the step takes the one piece there is.
+    kmin = W.argmin(axis=-1)
+    p = points.shape[-1]
+    at = np.arange(0, n * k * p, p).reshape(n, k) + kmin
+    left, right = kmin > 0, kmin < npoints - 1
+    flat = points.ravel()
+    mids = np.empty((2,) + kmin.shape + (1,))
+    mids[0, ..., 0] = 0.5 * (flat[at - left] + flat[at])
+    mids[1, ..., 0] = 0.5 * (flat[at] + flat[at + right])
+    which = np.empty(mids.shape[:-1], dtype=np.intp)
+    which[...] = np.arange(lo, hi)
+    side_budgets = np.empty(mids.shape[:-1])
+    side_budgets[...] = budgets[:, None, :]
+    sides = table.solve_block(
+        which.ravel(), (mids * a1[:, None] + (1.0 - mids) * a2[:, None]).reshape(-1, s),
+        side_budgets.ravel()).reshape(mids.shape[:-1] + table.m0.shape)
+    # gap = value(population 1) - value(population 2) of each side.
+    rm = (R[:, None, :] @ sides)[..., 0, :]
+    g_l, g_r = (rm[..., None, :] @ (a1 - a2)[:, None, :, None])[..., 0, 0]
+    up = g_r > g_l
+    theta = np.where(up, g_r / np.where(up, g_r - g_l, 1.0), 1.0)
+    theta = np.where(0.0 > theta, 0.0, theta)
+    theta = np.where(1.0 < theta, 1.0, theta)[..., None, None]
+    ml, mr = sides
+    # Entries both sides agree on, the frozen ones among them, stay bitwise.
+    m = np.where((left & right)[..., None, None],
+                 np.where(ml == mr, ml, theta * ml + (1.0 - theta) * mr),
+                 np.where(left[..., None, None], ml, mr))
+    values = _worst_values((R[:, None, :] @ m)[..., 0, :], a_in[:, None])
+    if not dual.all():
+        # The initial path: m0, whose values `col_base` holds.
+        values = np.where(dual, values, _worst_values(table.col_base[lo:hi], a_in[:, None]))
+        m = np.where(dual[..., None, None], m, table.m0)
+    return values, m, dual
 
 
 def _game_step(solver, a_in, budget) -> LayerStepResult:

@@ -204,6 +204,16 @@ class TestCli:
         assert code == 3
         assert "refused" in capsys.readouterr().err
 
+    def test_exante_budget_grid_overflow_names_epsilon(self, capsys, tmp_path,
+                                                      contrast_file):
+        # The best-response step is derived from --epsilon; the refusal
+        # names both, not only a step the user never passed.
+        path = _mutate(contrast_file, tmp_path, lambda d: d.update(budget=1e308))
+        code = main(["solve-exante", "--instance", path, "--epsilon", "0.5"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "epsilon=0.5" in err and "best-response step" in err
+
     def test_epsilon_above_net_diameter(self, capsys, tmp_path):
         path = str(tmp_path / "budget3.json")
         po.save_instance(po.random_instance(1, 2, 3, 1.0, 3.0), path)

@@ -80,6 +80,16 @@ class TestGuarantee:
         assert m_report.solver_meta.get("delegated")
 
 
+def _three_populations(seed):
+    """Layers (3, 2, 2, 2): three populations, two built layers."""
+    gen = np.random.default_rng(seed)
+    mats = []
+    for rows, cols in [(2, 3), (2, 2), (2, 2)]:
+        raw = gen.uniform(0.05, 1.0, (rows, cols))
+        mats.append(raw / raw.sum(axis=0))
+    return po.make_instance((3, 2, 2, 2), mats, (1.0, 0.2), (0.3, 0.3, 0.4), 1.0)
+
+
 def _uniform_weights(inst, weight):
     """`inst` with every edge's cost weight set to `weight`."""
     weights = tuple(np.full_like(m, weight) for m in inst.initial_matrices)
@@ -131,24 +141,34 @@ class TestReportAndCaps:
         assert sum(dp.step_calls.values()) == built + first_layer + inst.depth - 2
 
     def test_one_step_solver_per_continuation(self, monkeypatch):
-        # Every step against one continuation shares one solver, a row of
-        # its layer's segment table, however many (row, budget) pairs the
-        # build prices against it.
-        used = {}
+        # Three populations price step by step: every step against one
+        # continuation shares one solver, a row of its layer's segment
+        # table, however many (row, budget) pairs the build prices against
+        # it.  Two populations price whole blocks, so only a solve's steps
+        # below the first layer reach the scalar step.
+        used, calls = {}, []
         step = dp_maximin.solve_maximin_step
 
         def recording_step(solver, a_in, budget):
             used[id(solver)] = solver
+            calls.append(len(a_in))
             return step(solver, a_in, budget)
 
         monkeypatch.setattr(dp_maximin, "solve_maximin_step", recording_step)
-        dp = po.MaximinDP(po.random_instance(7, 2, 4, 1.0, 1.0), 0.25)
+        dp = po.MaximinDP(_three_populations(7), 0.5)
         # Layer 0's candidates are priced only by a query.
         rows = [s for t, table in dp._steps.items() for s in table._rows.values()]
         assert len(used) == len(rows) == sum(
             len(c.cell) for t, c in dp._candidates.items() if t >= 1)
         assert {id(s) for s in rows} == set(used)
         assert sum(dp.step_calls.values()) > len(used)
+        assert set(calls) == {3}
+        calls.clear()
+        inst = po.random_instance(7, 2, 4, 1.0, 1.0)
+        dp = po.MaximinDP(inst, 0.25)
+        assert calls == []
+        dp.solve()
+        assert calls == [2] * (inst.depth - 2)
 
     def test_population_tuple_counts(self):
         # Every layer tracks the multisets of `width` net points, and the

@@ -208,6 +208,17 @@ def _narrow(seed, budget):
     return po.make_instance((2, 1, 3, 2), mats, (1.0, 0.3), (0.5, 0.5), budget)
 
 
+def _wide(seed, budget):
+    """Layers (2, 3, 3): a two-population maximin whose built rows have
+    three columns, so several greedy-order crossings."""
+    gen = np.random.default_rng(seed)
+    mats = []
+    for rows, cols in [(3, 2), (3, 3)]:
+        raw = gen.uniform(0.05, 1.0, (rows, cols))
+        mats.append(raw / raw.sum(axis=0))
+    return po.make_instance((2, 3, 3), mats, (1.0, 0.6, 0.1), (0.5, 0.5), budget)
+
+
 def reference_scan(dp, t, a_in, bi, solvers):
     """One cell priced candidate by candidate with the scalar step solvers.
 
@@ -266,10 +277,13 @@ class TestBlockBuild:
         (3, lambda: po.WelfareDP(po.random_instance(36, 2, 4, 1.0, 4.0), 0.5)),
         (3, lambda: po.MaximinDP(po.random_instance(37, 2, 4, 1.0, 3.0), 0.5)),
         (3, lambda: po.WelfareDP(_narrow(38, 3.0), 0.3)),
+        (None, lambda: po.MaximinDP(
+            _weighted(po.random_instance(39, 2, 4, 1.0, 1.0), 39), 0.25)),
+        (None, lambda: po.MaximinDP(_wide(40, 1.0), 0.5)),
     ], ids=["welfare", "welfare-masked", "welfare-weighted", "maximin",
             "maximin-weighted", "welfare-ties", "maximin-ties", "welfare-blocks3",
             "welfare-weighted-blocks3", "welfare-ties-blocks3", "maximin-ties-blocks3",
-            "welfare-narrow-blocks3"])
+            "welfare-narrow-blocks3", "maximin-weighted-depth4", "maximin-233"])
     def test_cells_match_scalar_scan(self, block_rows, make, monkeypatch):
         if block_rows is not None:
             monkeypatch.setattr(dp_welfare, "_BLOCK_ROWS", block_rows)

@@ -7,7 +7,9 @@ from scipy.optimize import linprog
 
 import pipeopt as po
 from lp_reference import epigraph_lp
-from pipeopt.layerlp import SegmentTable, WelfareStepSolver, solve_maximin_step
+from pipeopt import layerlp
+from pipeopt.layerlp import (SegmentTable, WelfareStepSolver, solve_maximin_step,
+                             two_population_block)
 
 rng = np.random.default_rng(404)
 
@@ -634,6 +636,111 @@ class TestTwoPopulationDualStep:
         assert float((weights * np.abs(m - m0)).sum()) <= budget + 1e-9
         np.testing.assert_array_equal(m[~mask], m0[~mask])
         assert res.objective == float(((r_out @ m) @ a_in.T).min())
+
+
+@st.composite
+def two_population_blocks(draw):
+    """(R, m0, mask, a_in, budgets, weights, lo, hi): a segment table case
+    priced for continuations lo:hi against (rows, 2, cols) population pairs;
+    the first pair is identical populations a fifth of the time."""
+    R, m0, mask, _, budgets, weights = draw(segment_tables())
+    cols = m0.shape[1]
+    n = draw(st.integers(1, 3))
+    # C-contiguous, as the DP's stacks are: the scalar step's BLAS products
+    # may sum a strided pair in another order.
+    pairs = _stochastic(_counts(draw, (cols, 2 * n))).T
+    a_in = np.ascontiguousarray(pairs).reshape(n, 2, cols)
+    if draw(st.integers(0, 4)) == 0:
+        a_in[0, 1] = a_in[0, 0]
+    lo = draw(st.integers(0, len(R) - 1))
+    hi = draw(st.integers(lo + 1, len(R)))
+    return R, m0, mask, a_in, budgets[:, lo:hi], weights, lo, hi
+
+
+def _pair_case(r_out, m0, a_in, budgets, mask=None, weights=None):
+    """A one-continuation block case: every budget against r_out."""
+    m0 = np.asarray(m0, dtype=float)
+    mask = np.ones(m0.shape, dtype=bool) if mask is None else np.asarray(mask)
+    return (np.asarray(r_out, dtype=float)[None], m0, mask, np.asarray(a_in, dtype=float),
+            np.asarray(budgets, dtype=float)[:, None],
+            None if weights is None else np.asarray(weights, dtype=float), 0, 1)
+
+
+# Rewards (1, 0) and all mass on the 0-reward row: each column is one
+# segment of rate 1/2, so columns swap rank where their inputs cross.
+# Column 0's input rises as lam and crosses the constant column 1 at L1;
+# column 2's falls as c (1 - lam) and crosses column 0 at exactly
+# L1 + _CROSSING_MERGE_TOL, which the merge drops.
+_L1 = 1e-12 + 2.0**-91
+TOL_APART = ([1.0, 0.0], np.vstack([np.zeros(3), np.ones(3)]),
+             [[[1.0, _L1, 0.0], [0.0, _L1, 2.000000000004e-12]]])
+# Constant columns 1 and 2 cross column 0 at 1e-11 and 0.7e-12 past it, and
+# falling column 3 crosses it 0.7e-12 further on: each step is within the
+# merge tolerance but the chain is not, so the third point is kept.
+CHAIN = ([1.0, 0.0], np.vstack([np.zeros(4), np.ones(4)]),
+         [[[1.0, 1e-11, 1.07e-11, 0.0], [0.0, 1e-11, 1.07e-11, 1.14e-11 / (1 - 1.14e-11)]]])
+
+
+class TestTwoPopulationBlock:
+    """The block two-population step against the scalar step per cell, bitwise."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(two_population_blocks())
+    # Two of three continuations, budget 0 beside positive budgets, and a
+    # pair of point masses (inputs with zero entries).
+    @example((np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.3], [0.2, 0.2, 0.9]]),
+              np.array([[0.6, 0.2], [0.0, 0.8], [0.4, 0.0]]), np.ones((3, 2), dtype=bool),
+              np.array([np.eye(2), [[0.7, 0.3], [0.2, 0.8]]]),
+              np.array([[0.0, 0.0], [0.4, 1.2], [0.0, 2.0]]), None, 1, 3))
+    # Weighted: every donor's hull has two edges.
+    @example(_pair_case(HULL_CASE[0], HULL_CASE[1], [np.eye(2), [[0.5, 0.5], [0.2, 0.8]]],
+                        [0.5, 1.5, 3.0], weights=HULL_CASE[2]))
+    # A mask with one malleable entry per column: nothing can move.
+    @example(_pair_case([1.0, 0.0], [[0.3, 0.6], [0.7, 0.4]], [np.eye(2)], [1.0],
+                        mask=[[True, False], [False, True]]))
+    # Tied rewards: every column has two segments of one rate, so many
+    # crossings coincide and merge.
+    @example(_pair_case([1.0, 0.0, 0.0], [[0.0] * 3, [0.5] * 3, [0.5] * 3],
+                        [[[0.6, 0.3, 0.1], [0.1, 0.3, 0.6]]], [0.5, 1.5]))
+    # A subnormal input entry: one crossing lies past the float range.
+    @example(_pair_case([0.0, 0.0, 1.0, 0.0],
+                        [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]],
+                        [[[0.0, 1.0], [1e-310, 1.0]]], [1.0],
+                        mask=[[False, False], [True, True], [True, True], [False, False]]))
+    @example(_pair_case(*TOL_APART, [3.0]))
+    @example(_pair_case(*CHAIN, [3.0]))
+    def test_block_equals_scalar(self, case):
+        R, m0, mask, a_in, budgets, weights, lo, hi = case
+        table = SegmentTable(R, m0, mask, weights)
+        values, mats, dual = two_population_block(table, lo, hi, a_in, budgets)
+        for b, r, c in np.ndindex(values.shape):
+            step = solve_maximin_step(WelfareStepSolver(R[lo + c], m0, mask, weights),
+                                      a_in[r], budgets[b, c])
+            assert values[b, r, c] == step.objective
+            assert np.array_equal(mats[b, r, c], step.matrix)
+            assert dual[b, 0, c] == (step.path == "dual")
+
+    def test_row_chunks_price_as_one_block(self, monkeypatch):
+        # A block past the entry cap is priced a row at a time.
+        R = np.array([[1.0, 0.4, 0.0], [0.0, 0.5, 1.0]])
+        m0 = np.array([[0.2, 0.5], [0.3, 0.1], [0.5, 0.4]])
+        table = SegmentTable(R, m0, np.ones((3, 2), dtype=bool))
+        a_in = np.array([np.eye(2), [[0.7, 0.3], [0.2, 0.8]], [[0.5, 0.5], [0.4, 0.6]]])
+        budgets = np.array([[0.0, 0.3], [0.6, 1.5]])
+        whole = two_population_block(table, 0, 2, a_in, budgets)
+        monkeypatch.setattr(layerlp, "_PAIR_BLOCK_ENTRIES", 1)
+        for got, want in zip(two_population_block(table, 0, 2, a_in, budgets), whole):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("a_in, budgets", [
+        ([[[float("nan"), 1.0], [0.0, 1.0]]], [[0.5]]),
+        ([[[0.5, 0.5]]], [[0.5]]),
+        ([[[0.5, 0.5], [0.5, 0.5]]], [[-0.1]]),
+    ], ids=["nan", "one-population", "negative-budget"])
+    def test_refused(self, a_in, budgets):
+        table = SegmentTable(np.array([[1.0, 0.0]]), np.eye(2), np.ones((2, 2), dtype=bool))
+        with pytest.raises(ValueError):
+            two_population_block(table, 0, 1, a_in, budgets)
 
 
 class TestGameStep:
