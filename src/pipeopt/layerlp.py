@@ -614,7 +614,9 @@ def solve_maximin_step(solver, a_in, budget_step) -> LayerStepResult:
     returned; otherwise two populations take `_two_population_step` and
     three or more `_game_step`.
     """
-    a_in = np.asarray(a_in, dtype=float)
+    # Contiguous: BLAS sums a strided a_in in another order, so the same
+    # numbers would give other bits.
+    a_in = np.ascontiguousarray(a_in, dtype=float)
     # One pass over a_in: a NaN or an infinity anywhere makes the sum non-finite.
     if (a_in.shape[1:] != solver.m0.shape[1:] or not len(a_in)
             or not math.isfinite(a_in.sum())):

@@ -22,7 +22,9 @@ affordable combinations of its columns' deltas.  A table combines every
 transition after the first into a cost-sorted suffix and streams the first
 transition through the reductions in blocks of about _BLOCK_ROWS plans, so
 memory is the suffix plus one block: a small table is a single block,
-reduced in one numpy pass.
+reduced in one numpy pass.  The suffix prefix a candidate can afford depends
+only on its cost, so a block, like each suffix stage, prices every run of
+equal-cost candidates with one matrix product.
 """
 
 from __future__ import annotations
@@ -124,6 +126,21 @@ def _welfare_scores(vals, dist):
     return sum(vals[:, j] * dist[j] for j in range(len(dist)))
 
 
+def _stage_order(units, pos):
+    """Order of a stage's rows by (units, pos), pos distinct and below
+    len(pos): one sort of the key units * len(pos) + pos while it fits in
+    int64, a lexsort beyond.  Every grid move can shrink by one unit in each
+    of two entries, so a stage of n rows holds every even unit count up to
+    its largest, which is then at most 2 (n - 1): the key fits for every
+    stage under 2^31 rows."""
+    n = len(pos)
+    if (int(units.max()) + 1) * n <= np.iinfo(np.int64).max:
+        key = units * n
+        key += pos
+        return np.argsort(key)
+    return np.lexsort((pos, units))
+
+
 def _joint_count(cost_arrays, max_units):
     """Exact number of cross-layer combinations with total cost <= max_units."""
     conv = np.ones(1)
@@ -136,12 +153,13 @@ class GridPlanTable:
     """Exhaustive table of feasible grid plans with per-population values.
 
     Every transition after the first is combined once into the suffix table,
-    kept sorted by cost; a single transition has the empty suffix, one row
-    holding the rewards at 0 units.  The first transition is streamed in
-    blocks (`blocks`), so a plan is named by (suffix row, first choice).
-    Rows run by first choice, then by suffix cost (a stable sort).  One
-    table serves all three oracles: `welfare`, `expost_maximin` and
-    `exante_maximin`.
+    its rows ordered by (units, choice, parent row); a single transition has
+    the empty suffix, one row holding the rewards at 0 units.  The first
+    transition is streamed in blocks (`blocks`), so a plan is named by
+    (suffix row, first choice).  Within a block, rows run by first-choice
+    cost, then suffix row, then first choice; ties never go by row position
+    but by (units, first choice, suffix row).  One table serves all three
+    oracles: `welfare`, `expost_maximin` and `exante_maximin`.
     """
 
     def __init__(self, instance: Instance, eta: float, cap: int = ORACLE_CAP):
@@ -170,17 +188,23 @@ class GridPlanTable:
             )
         # Backward sweep over transitions k-2 .. 1 (0-based matrix indices),
         # from the empty suffix: rows hold value vectors r^T M_{k-2} ... M_t,
-        # sorted by cost (a stable sort), so each candidate of the transition
-        # before can afford a prefix.  The 0-unit row keeps every prefix
-        # non-empty.  Every transition has the 0-unit do-nothing candidate,
-        # so each stage row extends to a plan: no stage outgrows total_plans.
+        # sorted by (units, choice, parent row), so each candidate of the
+        # transition before can afford a prefix.  The 0-unit row keeps every
+        # prefix non-empty.  Every transition has the 0-unit do-nothing
+        # candidate, so each stage row extends to a plan: no stage outgrows
+        # total_plans.
         self._suffix_values = instance.rewards[None, :]
         self._suffix_units = np.zeros(1, dtype=np.int64)
         self._stages = [None] * k1
         for t in range(k1 - 1, 0, -1):
-            vals, key = self._block(t, 0, self._ends(t))
+            ends = self._ends(t)
+            vals, key = self._block(t, 0, ends)
             parents, choices, units = self.lookup(key, np.arange(len(vals)))
-            order = np.argsort(units, kind="stable")
+            # Each row's place in (choice, parent row) order, formed in place:
+            # a stage-sized temporary adds to the peak memory.
+            pos = (np.cumsum(ends) - ends)[choices]
+            pos += parents
+            order = _stage_order(units, pos)
             self._stages[t] = (parents[order], choices[order])
             self._suffix_values = vals[order]
             self._suffix_units = units[order]
@@ -198,8 +222,8 @@ class GridPlanTable:
 
         A block holds the feasible plans of a run of consecutive first-layer
         candidates, about _BLOCK_ROWS rows in all; one candidate larger than
-        that is a block of its own.  `lookup(key, idx)` names the block's
-        rows idx.
+        that is a block of its own.  Its rows run by candidate cost, then
+        suffix row, then candidate; `lookup(key, idx)` names the rows idx.
         """
         ends = self._ends(0)
         lo = rows = 0
@@ -212,20 +236,46 @@ class GridPlanTable:
 
     def _block(self, t, lo, ends):
         """Values of transition t's candidates lo, lo+1, ... over the suffix
-        prefixes `ends`, with the key `lookup` reads."""
+        prefixes `ends`, with the key `lookup` reads.
+
+        A candidate's prefix depends only on its cost, so each run of equal
+        cost (in candidate order) is priced with one product, its rows laid
+        out (suffix row, candidate); the runs follow in ascending cost.
+        """
         mats = self.layers[t][0]
-        starts = np.cumsum(ends) - ends
-        vals = np.empty((int(ends.sum()), mats.shape[2]))
-        for j, at, n in zip(range(lo, lo + len(ends)), starts.tolist(), ends.tolist()):
-            np.matmul(self._suffix_values[:n], mats[j], out=vals[at:at + n])
-        return vals, (t, lo, starts)
+        _, s1, s0 = mats.shape
+        costs = self.layers[t][1][lo:lo + len(ends)]
+        order = np.argsort(costs, kind="stable")
+        first = np.flatnonzero(np.diff(costs[order], prepend=-1))
+        widths = np.diff(first, append=len(order))
+        heights = ends[order[first]]
+        cands = lo + order
+        sizes = heights * widths
+        offsets = np.cumsum(sizes) - sizes
+        vals = np.empty((int(sizes.sum()), s0))
+        for f, w, n, at in zip(first.tolist(), widths.tolist(), heights.tolist(),
+                               offsets.tolist()):
+            run = mats[cands[f:f + w]]
+            out = vals[at:at + n * w].reshape(n, w * s0)
+            if n > 1 and s0 > 1:
+                np.matmul(self._suffix_values[:n],
+                          run.transpose(1, 0, 2).reshape(s1, w * s0), out=out)
+            else:
+                # numpy prices a one-row or one-column product with gemv,
+                # whose rounding depends on its width: keep each candidate's
+                # own (n, s1) @ (s1, s0) product.
+                out.reshape(n, w, s0)[...] = np.matmul(
+                    self._suffix_values[:n], run).transpose(1, 0, 2)
+        return vals, (t, cands, first, widths, offsets)
 
     def lookup(self, key, idx):
-        """(suffix rows, choices, units) of the rows idx of a block."""
-        t, lo, starts = key
-        k = np.searchsorted(starts, idx, side="right") - 1
-        rows = idx - starts[k]
-        choices = lo + k
+        """(suffix rows, choices, units) of the rows idx of a block, read
+        from its equal-cost runs: row `at + r * w + c` of a run of w
+        candidates starting at `at` is suffix row r of its candidate c."""
+        t, cands, first, widths, offsets = key
+        g = np.searchsorted(offsets, idx, side="right") - 1
+        rows, col = np.divmod(idx - offsets[g], widths[g])
+        choices = cands[first[g] + col]
         return rows, choices, self._suffix_units[rows] + self.layers[t][1][choices]
 
     def reduce_best(self, score_fn, tie_fn):
@@ -234,8 +284,10 @@ class GridPlanTable:
         score_fn maps an (n, s0) value block to n primary scores; tie_fn
         likewise for the secondary criterion.  Both must score each row on
         its own, whatever rows share its block.  Ties go to the higher
-        secondary score, then fewer units, then the earlier row.  Returns
-        (score, (suffix_row, first_choice)).
+        secondary score, then fewer units, then the smaller first choice,
+        then the smaller suffix row; blocks hold runs of consecutive first
+        choices, so across blocks the earlier block keeps an exact tie.
+        Returns (score, (suffix_row, first_choice)).
         """
         best = best_id = None
         for vals, key in self.blocks():
@@ -247,7 +299,7 @@ class GridPlanTable:
             sec_vals = tie_fn(vals[tied])
             tied = tied[sec_vals == sec_vals.max()]
             rows, first, units = self.lookup(key, tied)
-            i = int(np.argmin(units))
+            i = int(np.lexsort((rows, first, units))[0])
             rank = (cand, float(sec_vals.max()), -float(units[i]))
             if best is None or rank > best:
                 best = rank

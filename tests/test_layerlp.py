@@ -260,6 +260,23 @@ class TestMaximinStep:
         np.testing.assert_array_equal(res.matrix, m0)
         assert res.objective == float(((solver.r_out @ res.matrix) @ a_in.T).min())
 
+    @pytest.mark.parametrize("pops", [2, 3])
+    @pytest.mark.parametrize("budget", [0.0, 0.3])
+    def test_same_bits_for_any_layout(self, budget, pops):
+        # A transposed view of the same populations gives the same bits:
+        # BLAS sums a strided a_in in another order than a contiguous one.
+        gen = np.random.default_rng(4100 + pops)
+        for _ in range(100):
+            rows, cols = int(gen.integers(2, 5)), int(gen.integers(2, 6))
+            m0 = gen.random((rows, cols))
+            m0 /= m0.sum(axis=0)
+            solver = WelfareStepSolver(gen.random(rows), m0, np.ones((rows, cols), dtype=bool))
+            a_in = gen.dirichlet(np.ones(cols), size=pops)
+            strided = np.ascontiguousarray(a_in.T).T
+            res, other = (solve_maximin_step(solver, a, budget) for a in (a_in, strided))
+            assert other.objective == res.objective
+            assert other.matrix.tobytes() == res.matrix.tobytes()
+
     def test_output_feasibility(self):
         for _ in range(10):
             r_out, _, m0, mask, weights = random_step(3, 3, 0.7, True)
@@ -373,7 +390,9 @@ def two_population_steps(draw):
         j = draw(st.integers(0, cols - 1).filter(lambda x: x != i))
         a_in = np.eye(cols)[[i, j]]
     else:
-        a_in = _stochastic(_counts(draw, (cols, 2))).T
+        # Contiguous, as the step prices any a_in: the tests re-derive its
+        # value from a_in.T, which BLAS sums in another order when strided.
+        a_in = np.ascontiguousarray(_stochastic(_counts(draw, (cols, 2))).T)
         if kind == "identical":
             a_in = a_in[[0, 0]]
     budget = draw(st.floats(0.01, 2.5))
@@ -414,7 +433,8 @@ def many_population_steps(draw):
         picks = draw(st.lists(st.integers(0, cols - 1), min_size=pops, max_size=pops))
         a_in = np.eye(cols)[picks]
     else:
-        a_in = _stochastic(_counts(draw, (cols, pops))).T
+        # Contiguous, as in two_population_steps.
+        a_in = np.ascontiguousarray(_stochastic(_counts(draw, (cols, pops))).T)
     budget = draw(st.floats(0.0, 2.5))
     weights = _weights(draw, (rows, cols)) if draw(st.booleans()) else None
     return r_out, a_in, m0, mask, budget, weights

@@ -40,14 +40,16 @@ class TestOracleWelfare:
         assert fine >= coarse - 1e-12
 
     def test_ties_prefer_thrift(self):
-        # Every plan has welfare 1; the first row in stream order costs 2
-        # units, but the do-nothing plan wins the tie.
+        # Every plan has welfare 1; the plan of the smallest (first choice,
+        # suffix row) costs 2 units, but the do-nothing plan wins the tie.
         inst = po.make_instance(
             (2, 2), (np.eye(2),), (1.0, 1.0), (0.5, 0.5), 0.5
         )
         table = GridPlanTable(inst, 0.25)
-        _, key = next(table.blocks())
-        assert table.lookup(key, np.array([0]))[2][0] == 2
+        rows, first, units = (np.concatenate(c) for c in zip(*(
+            table.lookup(key, np.arange(len(v))) for v, key in table.blocks()
+        )))
+        assert units[np.lexsort((rows, first))[0]] == 2
         value, plan = po.oracle_welfare(inst, 0.25)
         assert value == pytest.approx(1.0)
         assert plan.total_cost(inst) == 0.0
@@ -269,8 +271,9 @@ class TestBlocks:
 
     @BLOCK_CASES
     def test_picks_earliest_best_row(self, make, eta):
-        # Reference: a stable lexsort of the whole table on (primary desc,
-        # secondary desc, units asc) puts the earliest best row first.
+        # Reference: a lexsort of the whole table on (primary desc, secondary
+        # desc, units asc, first choice asc, suffix row asc) puts the best
+        # row first, whatever the row layout within a block.
         inst = make()
         table = GridPlanTable(inst, eta)
         vals, rows, first, units = (np.concatenate(c) for c in zip(*(
@@ -282,7 +285,7 @@ class TestBlocks:
             (po.oracle_welfare, welfare, np.zeros(len(vals))),
             (po.oracle_expost_maximin, vals.min(axis=1), welfare),
         ):
-            i = np.lexsort((units, -secondary, -primary))[0]
+            i = np.lexsort((rows, first, units, -secondary, -primary))[0]
             value, plan = fn(inst, eta)
             assert value == primary[i]
             assert_same_plan(plan, table.plan_for(rows[i], first[i]))
@@ -311,6 +314,89 @@ class TestBlocks:
         assert value == pytest.approx(whole, abs=1e-9)
         assert value == pytest.approx(po.evaluate_mixed(inst, mixed)[1], abs=1e-12)
         assert po.mixed_violations(inst, mixed) == []
+
+
+def reference_table(table):
+    """The table rebuilt one np.matmul per candidate, each stage sorted by
+    units with a stable argsort, its rows (choice, parent row) major:
+    (suffix values, suffix units, stages, first-transition values, the
+    offset of each first choice's rows among them)."""
+    values, units = table.instance.rewards[None, :], np.zeros(1, dtype=np.int64)
+    stages = [None] * len(table.layers)
+    for t in range(len(table.layers) - 1, -1, -1):
+        mats, costs = table.layers[t]
+        ends = np.searchsorted(units, table.max_units - costs, side="right")
+        vals = np.concatenate([values[:n] @ m for m, n in zip(mats, ends)])
+        if t == 0:
+            return values, units, stages, vals, np.cumsum(ends) - ends
+        parents = np.concatenate([np.arange(n) for n in ends])
+        choices = np.repeat(np.arange(len(mats)), ends)
+        row_units = units[parents] + costs[choices]
+        order = np.argsort(row_units, kind="stable")
+        stages[t] = (parents[order], choices[order])
+        values, units = vals[order], row_units[order]
+
+
+def one_state_instance():
+    # One source state: each first-transition product is (n, 3) @ (3, 1),
+    # which numpy prices with gemv.
+    gen = np.random.default_rng(0)
+    mats = [gen.random((3, 1)), gen.random((2, 3))]
+    return po.make_instance((1, 3, 2), tuple(m / m.sum(axis=0) for m in mats),
+                            tuple(gen.random(2)), (1.0,), 1.0)
+
+
+def assert_matches_reference(table):
+    values, units, stages, first_vals, starts = reference_table(table)
+    assert table._suffix_values.tobytes() == values.tobytes()
+    assert table._suffix_units.tobytes() == units.tobytes()
+    for got, want in zip(table._stages[1:], stages[1:], strict=True):
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+    seen = []
+    for vals, key in table.blocks():
+        rows, first, _ = table.lookup(key, np.arange(len(vals)))
+        seen.append(starts[first] + rows)
+        assert vals.tobytes() == first_vals[seen[-1]].tobytes()
+    np.testing.assert_array_equal(np.sort(np.concatenate(seen)), np.arange(len(table)))
+
+
+class TestTableLayout:
+    """Blocks price each equal-cost run of candidates with one product, in
+    their own row layout; every stage and every row's value must keep the
+    bits of one product per candidate."""
+
+    @pytest.mark.parametrize("block_rows", [None, 1, 7])
+    @BLOCK_CASES
+    def test_matches_per_candidate_reference(self, monkeypatch, make, eta, block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(oracle, "_BLOCK_ROWS", block_rows)
+        assert_matches_reference(GridPlanTable(make(), eta))
+
+    def test_fine_separation_matches_reference(self):
+        assert_matches_reference(GridPlanTable(po.separation_instance(0.6), 0.05))
+
+    def test_one_row_top_cost_run_matches_reference(self):
+        # The dearest first choices afford only the 0-unit suffix row, and
+        # numpy prices a one-row product with gemv.
+        table = GridPlanTable(po.random_instance(4011, 2, 3, 1.0, 1.0), 0.1)
+        costs = table.layers[0][1]
+        top = costs == costs.max()
+        assert top.sum() > 1 and set(table._ends(0)[top].tolist()) == {1}
+        assert_matches_reference(table)
+
+    def test_one_state_source_matches_reference(self):
+        table = GridPlanTable(one_state_instance(), 0.2)
+        assert table.layers[0][0].shape[2] == 1
+        assert_matches_reference(table)
+
+    def test_stage_order_falls_back_past_int64(self):
+        # units * len(pos) + pos would overflow at 2**62 units: the lexsort
+        # orders alike.
+        pos = np.array([3, 4, 0, 1, 2])
+        for top in (8, 2**62):
+            units = np.array([top, 0, top, 4, 0])
+            np.testing.assert_array_equal(oracle._stage_order(units, pos), [4, 1, 3, 2, 0])
 
 
 def reference_candidates(m0, mask, eta, max_units):
