@@ -221,11 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, epsilon=True):
+    def add_common(p):
         p.add_argument("--instance", required=True, help="instance JSON path")
-        if epsilon:
-            p.add_argument("--epsilon", type=_positive_float, required=True,
-                           help="discretization step")
+        p.add_argument("--epsilon", type=_positive_float, required=True,
+                       help="discretization step")
         p.add_argument("--out", help="write plan/mixture JSON here")
         p.add_argument("--csv", help="write per-population rewards CSV here")
 

@@ -87,9 +87,10 @@ def mw_update(dist, utilities, beta: float) -> np.ndarray:
     u = np.asarray(utilities, dtype=float)
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    if np.any(u < -1e-12) or np.any(u > 1 + 1e-12):
+    # Each range check is written so that a NaN fails it.
+    if not np.all((u >= -1e-12) & (u <= 1 + 1e-12)):
         raise ValueError("utilities must lie in [0, 1]")
-    if d.shape != u.shape or abs(d.sum() - 1.0) > 1e-9 or np.any(d < 0):
+    if d.shape != u.shape or not abs(d.sum() - 1.0) <= 1e-9 or not np.all(d >= 0):
         raise ValueError("dist must be a distribution matching utilities")
     w = d * beta ** u
     return w / w.sum()

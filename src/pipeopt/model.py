@@ -193,27 +193,9 @@ def validate_instance(instance: Instance) -> list:
                    f"{len(instance.initial_matrices)}")
     for t, (m, mask) in enumerate(zip(instance.initial_matrices, instance.malleable)):
         want = (sizes[t + 1], sizes[t])
-        if m.shape != want:
-            out.append(f"transition {t} has shape {m.shape}, expected {want}")
-            continue
-        if mask.shape != want:
+        if m.shape == want and mask.shape != want:
             out.append(f"mask {t} has shape {mask.shape}, expected {want}")
-        if not np.all(np.isfinite(m)):
-            out.append(f"transition {t} entry {_first_nonfinite(m)} is not finite")
-            continue
-        if np.any(m < -ATOL) or np.any(m > 1 + ATOL):
-            bad = np.argwhere((m < -ATOL) | (m > 1 + ATOL))[0]
-            out.append(
-                f"transition {t} entry ({bad[0]}, {bad[1]}) = "
-                f"{m[bad[0], bad[1]]:.12g} outside [0, 1]"
-            )
-        colsums = m.sum(axis=0)
-        for u, cs in enumerate(colsums):
-            if abs(cs - 1.0) > ATOL:
-                out.append(
-                    f"transition {t} column {u} sums to {cs:.12g} "
-                    f"(off by {cs - 1.0:+.3g})"
-                )
+        _audit_stochastic(out, f"transition {t}", m, want)
     if instance.rewards.shape != (sizes[-1],):
         out.append(
             f"rewards has shape {instance.rewards.shape}, expected ({sizes[-1]},)"
@@ -222,19 +204,8 @@ def validate_instance(instance: Instance) -> list:
         out.append(f"reward {_first_nonfinite(instance.rewards)} is not finite")
     elif np.any(instance.rewards < 0):
         out.append("rewards must be non-negative")
-    d1 = instance.initial_distribution
-    if d1.shape != (sizes[0],):
-        out.append(f"initial distribution has shape {d1.shape}, expected ({sizes[0]},)")
-    elif not np.all(np.isfinite(d1)):
-        out.append(f"initial distribution entry {_first_nonfinite(d1)} is not finite")
-    else:
-        if np.any(d1 <= 0):
-            u = int(np.argmin(d1))
-            out.append(
-                f"initial distribution not strictly positive (entry {u} = {d1[u]:.12g})"
-            )
-        if abs(d1.sum() - 1.0) > ATOL:
-            out.append(f"initial distribution sums to {d1.sum():.12g}")
+    _audit_distribution(out, "initial distribution", instance.initial_distribution,
+                        sizes[0], strict=True)
     if not np.isfinite(instance.budget):
         out.append(f"budget {instance.budget} is not finite")
     elif instance.budget < 0:
@@ -256,6 +227,43 @@ def _first_nonfinite(a: np.ndarray) -> str:
     """Index and value of the first NaN or infinite entry, for messages."""
     idx = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
     return f"{idx if len(idx) > 1 else idx[0]} = {a[idx]}"
+
+
+def _audit_stochastic(out: list, name: str, m: np.ndarray, shape: tuple) -> bool:
+    """Append m's breaches of the transition rule (shape, finite entries in
+    [0, 1], unit column sums) to out; False if m is too broken to check on."""
+    if m.shape != shape:
+        out.append(f"{name} has shape {m.shape}, expected {shape}")
+        return False
+    if not np.all(np.isfinite(m)):
+        out.append(f"{name} entry {_first_nonfinite(m)} is not finite")
+        return False
+    outside = np.argwhere((m < -ATOL) | (m > 1 + ATOL))
+    if len(outside):
+        v, u = outside[0]
+        out.append(f"{name} entry ({v}, {u}) = {m[v, u]:.12g} outside [0, 1]")
+    for u, cs in enumerate(m.sum(axis=0)):
+        if abs(cs - 1.0) > ATOL:
+            out.append(f"{name} column {u} sums to {cs:.12g} (off by {cs - 1.0:+.3g})")
+    return True
+
+
+def _audit_distribution(out: list, name: str, d: np.ndarray, size: int,
+                        strict: bool = False) -> list:
+    """Append d's breaches of the distribution rule (shape (size,), finite,
+    entries > 0 if strict else >= -ATOL, unit sum) to out and return it."""
+    if d.shape != (size,):
+        out.append(f"{name} has shape {d.shape}, expected ({size},)")
+    elif not np.all(np.isfinite(d)):
+        out.append(f"{name} entry {_first_nonfinite(d)} is not finite")
+    else:
+        if np.any(d <= 0 if strict else d < -ATOL):
+            u = int(np.argmin(d))
+            rule = "strictly positive" if strict else "non-negative"
+            out.append(f"{name} not {rule} (entry {u} = {d[u]:.12g})")
+        if abs(d.sum() - 1.0) > ATOL:
+            out.append(f"{name} sums to {d.sum():.12g}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -289,40 +297,29 @@ def zero_budget_plan(instance: Instance) -> InterventionPlan:
 
 
 def plan_violations(instance: Instance, plan: InterventionPlan) -> list:
-    """Feasibility audit for a plan; empty list means feasible."""
-    out = []
+    """Feasibility audit for a plan; empty list means feasible.  A NaN fails."""
     k1 = len(instance.initial_matrices)
     if len(plan.matrices) != k1 or len(plan.budget_split) != k1:
-        out.append("plan layer count does not match instance")
-        return out
-    for t, (m, m0, mask) in enumerate(
-        zip(plan.matrices, instance.initial_matrices, instance.malleable)
-    ):
-        if m.shape != m0.shape:
-            out.append(f"plan matrix {t} has shape {m.shape}, expected {m0.shape}")
+        return ["plan layer count does not match instance"]
+    out = []
+    for t, (m, m0, mask, split) in enumerate(zip(
+            plan.matrices, instance.initial_matrices, instance.malleable,
+            plan.budget_split)):
+        if not split >= 0:
+            out.append(f"budget split {t} = {split} is not a non-negative number")
+        if not _audit_stochastic(out, f"plan matrix {t}", m, m0.shape):
             continue
-        if np.any(m < -ATOL) or np.any(m > 1 + ATOL):
-            out.append(f"plan matrix {t} has entries outside [0, 1]")
-        colsums = m.sum(axis=0)
-        bad = np.flatnonzero(np.abs(colsums - 1.0) > ATOL)
-        for u in bad:
-            out.append(f"plan matrix {t} column {u} sums to {colsums[u]:.12g}")
         # Non-malleable entries must be copied bitwise, never recomputed.
-        frozen = ~mask
-        if np.any(m[frozen] != m0[frozen]):
-            v, u = np.argwhere((m != m0) & frozen)[0]
+        moved = np.argwhere((m != m0) & ~mask)
+        if len(moved):
+            v, u = moved[0]
             out.append(f"plan matrix {t} modifies non-malleable edge ({v}, {u})")
         c = instance.cost_model.layer_cost(t, m, m0)
-        if c > plan.budget_split[t] + ATOL:
-            out.append(
-                f"plan matrix {t} costs {c:.12g} > allotted {plan.budget_split[t]:.12g}"
-            )
-        if plan.budget_split[t] < 0:
-            out.append(f"budget split {t} is negative")
-    if sum(plan.budget_split) > instance.budget + ATOL:
-        out.append(
-            f"budget split sums to {sum(plan.budget_split):.12g} > {instance.budget}"
-        )
+        if c > split + ATOL:
+            out.append(f"plan matrix {t} costs {c:.12g} > allotted {split:.12g}")
+    total = sum(plan.budget_split)
+    if not total <= instance.budget + ATOL:
+        out.append(f"budget split sums to {total:.12g}, not <= {instance.budget}")
     return out
 
 
@@ -381,12 +378,8 @@ class MixedPlan:
 
 
 def mixed_violations(instance: Instance, mixed: MixedPlan) -> list:
-    out = []
-    w = mixed.weights
-    if np.any(w < -ATOL):
-        out.append("mixture has a negative weight")
-    if abs(w.sum() - 1.0) > ATOL:
-        out.append(f"mixture weights sum to {w.sum():.12g}")
+    out = _audit_distribution([], "mixture distribution", mixed.weights,
+                              len(mixed.support))
     for i, plan in enumerate(mixed.plans):
         for v in plan_violations(instance, plan):
             out.append(f"support plan {i}: {v}")
@@ -395,9 +388,10 @@ def mixed_violations(instance: Instance, mixed: MixedPlan) -> list:
 
 def evaluate_mixed(instance: Instance, mixed: MixedPlan):
     """(weighted-average per-population rewards, their minimum)."""
-    w = mixed.weights
-    if abs(w.sum() - 1.0) > ATOL or np.any(w < -ATOL):
-        raise ValueError("invalid mixture weights")
+    bad = _audit_distribution([], "mixture distribution", mixed.weights,
+                              len(mixed.support))
+    if bad:
+        raise ValueError("invalid mixture weights: " + "; ".join(bad))
     avg = np.zeros(instance.layer_sizes[0])
     for weight, plan in mixed.support:
         avg += weight * evaluate_population_rewards(instance, plan)

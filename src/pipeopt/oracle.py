@@ -512,6 +512,11 @@ def _support_game(values):
     """
     k, p = values.shape
     scale = float(np.abs(values).max())
+    if scale < 2.0 ** -64:
+        # Rescale so the tolerances and determinants do not underflow.  Only
+        # here: np.linalg.det goes through log|det|, so it moves last bits.
+        e = math.frexp(scale)[1]
+        values, scale = np.ldexp(values, -e), math.ldexp(scale, -e)
     tables = _supports if _support_count(k, p) <= _SUPPORT_CAP else _supports.__wrapped__
     for s in range(1, min(k, p) + 1):
         all_rows, all_cols, flat, (ri, ci), sign = tables(k, p, s)

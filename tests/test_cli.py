@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -629,3 +630,59 @@ def test_mutated_instance_fuzz(capsys, tmp_path):
                 assert code != 0 or all(
                     math.isfinite(v) for v in _objectives(json.loads(out))
                 ), f"{what}: {argv[0]} reported {out}"
+
+
+PLAN_FUZZ_LEAVES = [float("nan"), float("inf"), float("-inf"), -0.25, "x", "nan", None]
+
+
+def _plan_fuzz_cases(rng, draws):
+    """(instance, plan document, description) triples: a solved welfare plan
+    of a fuzz base, as JSON, with one leaf replaced, a matrix row dropped or
+    the budget split scaled."""
+    bases = []
+    for data in FUZZ_BASES:
+        inst = instance_from_dict(data)
+        bases.append((inst, plan_to_dict(po.solve_social_welfare(inst, 0.5)[1])))
+    for _ in range(draws):
+        inst, base = rng.choice(bases)
+        doc = json.loads(json.dumps(base))
+        kind = rng.choice(["leaf", "row", "split"])
+        if kind == "leaf":
+            path = rng.choice([p for p, v in _nodes(doc)
+                               if p and not isinstance(v, (dict, list))])
+            leaf = rng.choice(PLAN_FUZZ_LEAVES)
+            _parent(doc, path)[path[-1]] = leaf
+            yield inst, doc, f"{path} = {leaf!r}"
+        elif kind == "row":
+            t = rng.randrange(len(doc["matrices"]))
+            del doc["matrices"][t][rng.randrange(len(doc["matrices"][t]))]
+            yield inst, doc, f"drop a row of matrix {t}"
+        else:
+            scale = rng.choice([-1.0, 0.5, 2.0, float("nan"), float("inf")])
+            doc["budget_split"] = [b * scale for b in doc["budget_split"]]
+            yield inst, doc, f"budget split * {scale}"
+
+
+def test_mutated_plan_fuzz():
+    """A mutated plan is refused when read (InputError), or `plan_violations`
+    reports it and `check_plan_bounds` refuses it with ValueError, or it
+    audits clean and every bound check reads finite; nothing else raises or
+    warns."""
+    outcomes = {"read": 0, "reported": 0, "clean": 0}
+    for inst, doc, what in _plan_fuzz_cases(random.Random(23), draws=300):
+        try:
+            plan = plan_from_dict(doc)
+        except InputError:
+            outcomes["read"] += 1
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if po.plan_violations(inst, plan):
+                outcomes["reported"] += 1
+                with pytest.raises(ValueError, match="infeasible plan"):
+                    po.check_plan_bounds(inst, plan)
+            else:
+                outcomes["clean"] += 1
+                checks = po.check_plan_bounds(inst, plan)
+                assert all(math.isfinite(c.lhs) for c in checks), what
+    assert outcomes["read"] and outcomes["reported"], outcomes

@@ -38,6 +38,10 @@ class TestMWUpdate:
             mw_update(d, np.array([0.5, 0.5]), 1.0)
         with pytest.raises(ValueError):
             mw_update(d, np.array([1.5, 0.0]), 0.5)
+        with pytest.raises(ValueError):
+            mw_update(d, np.array([np.nan, 0.5]), 0.5)
+        with pytest.raises(ValueError):
+            mw_update(np.array([np.nan, 0.5]), d, 0.5)
 
 
 class TestDynamics:

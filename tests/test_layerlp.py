@@ -784,6 +784,17 @@ class TestGameStep:
         np.testing.assert_array_equal(m[~mask], m0[~mask])
         assert res.objective == float(((r_out @ m) @ a_in.T).min())
 
+    def test_subnormal_rewards_are_certified(self):
+        # The restricted games' tolerances scale with max|values|; on
+        # subnormal rewards they underflowed to 0 and no support certified.
+        m0 = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.6], [0.0, 0.0, 0.0, 0.4]])
+        mask = np.ones_like(m0, dtype=bool)
+        a_in = np.array([[1.0, 0.0, 0.0, 0.0]] * 4 + [[0.0, 0.0, 0.0, 1.0]])
+        for k in range(1, 400):
+            r_out = np.array([0.0, 0.0, k * 5e-324])
+            res = solve_maximin_step(WelfareStepSolver(r_out, m0, mask), a_in, 1.0)
+            assert res.objective == float(((r_out @ res.matrix) @ a_in.T).min())
+
     def test_three_populations_need_a_mix(self):
         # Three populations on their own nodes: every greedy matrix spends
         # the whole budget on one column, so only the game's mix attains 1/6.

@@ -1,5 +1,7 @@
 """Core model: validation, cost, evaluation, mixtures."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -205,7 +207,80 @@ class TestMixed:
             po.evaluate_mixed(inst, po.MixedPlan(support=((0.4, plan),)))
 
 
+def _frozen_edge_moved(inst, mats, split):
+    v, u = np.argwhere(~inst.malleable[0])[0]
+    mats[0][v, u] += 0.1 if mats[0][v, u] < 0.5 else -0.1
+    mats[0][1 - v, u] = 1.0 - mats[0][v, u]
+    return mats, split
+
+
+def _costly_layer_unpaid(inst, mats, split):
+    split[0] = 0.0  # the welfare plan below spends its whole budget in layer 0
+    return mats, split
+
+
+def _set(t, at, value):
+    def edit(inst, mats, split):
+        mats[t][at] = value
+        return mats, split
+    return edit
+
+
+def _split(t, value):
+    def edit(inst, mats, split):
+        split[t] = value
+        return mats, split
+    return edit
+
+
+PLAN_BREAKS = {
+    "entry outside [0, 1]": (_set(0, (slice(None), 1), [1.5, -0.5]), "= 1.5 outside [0, 1]"),
+    "frozen edge changed": (_frozen_edge_moved, "modifies non-malleable edge (0, 0)"),
+    "cost above its split": (_costly_layer_unpaid, "costs 0.5 > allotted 0"),
+    "negative split": (_split(1, -0.1), "budget split 1 = -0.1 is not a non-negative"),
+    "NaN split": (_split(1, np.nan), "budget split 1 = nan is not a non-negative"),
+    "split sum above the budget": (_split(1, 0.25), "budget split sums to 0.75, not <= 0.5"),
+    "wrong layer count": (lambda inst, mats, split: (mats[:1], split[:1]),
+                          "layer count does not match"),
+    "wrong shape": (lambda inst, mats, split: ([mats[0][:1], mats[1]], split),
+                    "plan matrix 0 has shape (1, 2), expected (2, 2)"),
+    "NaN entry": (_set(1, (0, 1), np.nan), "plan matrix 1 entry (0, 1) = nan is not finite"),
+    "infinite column": (_set(0, (slice(None), 1), [np.inf, -np.inf]),
+                        "plan matrix 0 entry (0, 1) = inf is not finite"),
+}
+
+
 class TestPlanChecks:
+    @pytest.mark.parametrize("case", PLAN_BREAKS)
+    def test_every_refusal_is_reported(self, case):
+        """Each broken copy of a feasible plan is reported with a message that
+        names the matrix or split and the value, and no check warns."""
+        inst = po.random_instance(4, 2, 3, 0.6, 0.5)
+        plan = po.solve_social_welfare(inst, 0.5)[1]
+        assert po.plan_violations(inst, plan) == []
+        edit, message = PLAN_BREAKS[case]
+        mats, split = edit(inst, [m.copy() for m in plan.matrices], list(plan.budget_split))
+        broken = po.InterventionPlan(matrices=tuple(mats), budget_split=tuple(split))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = po.plan_violations(inst, broken)
+            assert any(message in v for v in found), found
+            with pytest.raises(ValueError, match="infeasible plan"):
+                po.check_plan_bounds(inst, broken)
+
+    @pytest.mark.parametrize("weights, message", [
+        ((-0.2, 1.2), "not non-negative (entry 0 = -0.2)"),
+        ((0.4,), "sums to 0.4"),
+        ((np.nan, 1.0), "entry 0 = nan is not finite"),
+    ], ids=["negative", "sum", "NaN"])
+    def test_every_mixture_refusal_is_reported(self, weights, message):
+        inst = po.random_instance(9, 2, 2, 1.0, 0.5)
+        plan = po.zero_budget_plan(inst)
+        mixed = po.MixedPlan(support=tuple((w, plan) for w in weights))
+        assert any(message in v for v in po.mixed_violations(inst, mixed))
+        with pytest.raises(ValueError, match="invalid mixture weights"):
+            po.evaluate_mixed(inst, mixed)
+
     def test_mask_edit_detected(self):
         inst = po.random_instance(2, 2, 2, 0.0, 1.0)  # nothing malleable
         m = inst.initial_matrices[0].copy()
