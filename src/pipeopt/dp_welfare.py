@@ -14,13 +14,13 @@ objectives: a subclass supplies the number of populations and the step hooks.
 
 Each built layer becomes the continuation candidates (`Candidates`: next
 budget index, next cell and value vector per candidate) of the layer above,
-in scan order: next budget ascending, then table row ascending.
-Continuation cells that share an identical value vector have an identical
-connecting step, so each such group enters once, through its first cell;
-the terminal layer's only candidate is `rewards`, next cell -1, with no
-budget reserved downstream.  A cell's value is the best step over the
-candidates at or below its budget index; ties break toward the earlier
-candidate, so results are reproducible.  The memo stores the winning
+in scan order: next budget ascending, then table row ascending.  Continuation
+cells that share an identical value vector have an identical connecting
+step, so each such group enters once, through its first cell, and only the
+groups' vectors are kept; the terminal layer's only candidate is `rewards`,
+next cell -1, with no budget reserved downstream.  A cell's value is the best
+step over the candidates at or below its budget index; ties break toward the
+earlier candidate, so results are reproducible.  The memo stores the winning
 candidate's index per cell.
 
 There is one pricing path, `_price_layer`: consecutive candidates that share
@@ -28,14 +28,14 @@ their first priced budget index are priced against every (row, budget) cell
 they can serve in `_price_block` calls of at most _BLOCK_ROWS rows and
 _BLOCK_ROWS (candidate, row, budget) triples, or of one candidate when its
 triples alone are more; within a block the first maximum wins, and a
-per-cell running best changes only on a strict improvement.  The build prices every table
-row at every budget index a candidate serves, then solves the winners'
-matrices with `_solve_block`, at most _BLOCK_ROWS cells a call sorted by
-winner, unless pricing already handed them back.  A query (`_query`, hence
-every best response of the randomized solver) prices its one first-layer
-cell as a one-row layer at the top budget index, so up to _BLOCK_ROWS of
-the first layer's candidates share a block, then follows the memo's
-winners down, solving each step with a one-cell `_solve_block`.  Both
+per-cell running best changes only on a strict improvement.  The build prices
+every table row at every budget index a candidate serves, then solves the
+winners' matrices with `_solve_block`, at most _BLOCK_ROWS cells a call
+sorted by winner, unless pricing already handed them back.  A query
+(`_query`, hence every best response of the randomized solver) prices its
+one first-layer cell as a one-row layer at the top budget index, so up to
+_BLOCK_ROWS of the first layer's candidates share a block, then follows the
+memo's winners down, solving each step with a one-cell `_solve_block`.  Both
 DPs read one `SegmentTable` per layer over all its candidates, built once.
 WelfareDP's hooks are its `value_block`/`solve_block`, a vectorized greedy
 that reproduces the scalar one bitwise, for unit and weighted costs alike.
@@ -48,8 +48,9 @@ Welfare is the one-population case: a cell tracks one layer distribution and
 the step is the exact welfare step.  Everything below layer 1 is independent
 of the starting distribution, so one built WelfareDP serves many starting
 distributions; the best-response loop of the randomized solver leans on
-this.  `meta()["profile"]` counts, per built layer, the cells, the
-continuation groups and the (cell, candidate) pairs the build priced.
+this.  `meta()["profile"]` counts, per built layer, the cells (summed in
+`meta()["cells"]`), the continuation groups and the (cell, candidate) pairs
+the build priced.
 """
 
 from __future__ import annotations
@@ -151,9 +152,7 @@ class BackwardDP:
                 net = build_simplex_net(d, epsilon)
                 nets_by_dim[d] = net, multisets(len(net), self.pops)
             self.nets[t], self._table[t] = nets_by_dim[d]
-        self.cells_built = 0
         self.profile = {}   # layer -> {cells, groups, priced_pairs} of the build
-        self._rvec = {}     # layer -> (cells, s_t) continuation value vectors
         self._choice = {}   # layer -> (cells,) winning candidate index
         # layer -> the candidates its cells scan.
         self._candidates = {instance.depth - 2: Candidates(
@@ -173,14 +172,14 @@ class BackwardDP:
 
     # -- sweep -----------------------------------------------------------------
 
-    def _group_layer(self, t: int):
-        """Turn built layer t into the candidates of layer t - 1.
+    def _group_layer(self, t: int, rvec):
+        """Turn built layer t, its cells' (cells, s_t) value vectors rvec,
+        into the candidates of layer t - 1.
 
         Per budget index, cells whose value vectors round to the same bytes
         form one group, represented by its first cell in table order.
         """
         g = len(self.grid)
-        rvec = self._rvec[t]
         keys = rvec.round(_GROUP_DECIMALS).reshape(-1, g, rvec.shape[1])
         row_bytes = np.dtype((np.void, keys.itemsize * keys.shape[2]))
         cells = []
@@ -266,10 +265,8 @@ class BackwardDP:
                         self.grid[bi] - self.grid[candidates.budget[which]])
                 # The stacked product reproduces `r_out @ m` per cell bitwise.
                 rvec[j, bi] = (candidates.value[which][:, None, :] @ mats)[:, 0]
-            self._rvec[t] = rvec.reshape(n * g, -1)
             self._choice[t] = winner.T.ravel()
-            self.cells_built += n * g
-            self._group_layer(t)
+            self._group_layer(t, rvec.reshape(n * g, -1))
             self.profile[t] = {
                 "cells": n * g,
                 "groups": len(self._candidates[t - 1].cell),
@@ -311,7 +308,7 @@ class BackwardDP:
             "budget_grid_points": len(self.grid),
             "budget_grid_top": float(self.grid[-1]),
             "net_sizes": {t: len(n) for t, n in self.nets.items()},
-            "cells": self.cells_built,
+            "cells": sum(p["cells"] for p in self.profile.values()),
             "profile": self.profile,
         }
 

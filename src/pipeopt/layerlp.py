@@ -20,9 +20,9 @@ one row per continuation sorted by column and rate, and every reader walks
 that table: `value_block`/`solve_block`, a numpy replay of the greedy for
 many (continuation, input, budget) triples at once, which the welfare DP
 prices and solves every step with (and `two_population_block` its side
-matrices); and `WelfareStepSolver`, the one-continuation case or a view of one row, whose
-scalar heap walk serves single triples, the scalar maximin steps and the
-tests, as the reference the block forms are checked against.
+matrices); and `WelfareStepSolver`, one row's scalar heap walk, which
+solves a single cell and the scalar maximin steps, and which the block
+forms equal bitwise.
 
 The maximin step couples populations, and needs no LP either.  By the
 minimax theorem its value is the smallest welfare-step value over mixtures
@@ -216,14 +216,11 @@ class SegmentTable:
 
         D is (n, s) inputs; budgets is (nb, hi - lo), or broadcasts to it.
         Returns the (nb, n, hi - lo) values, value[b, i, c] being
-        `value(D[i], budgets[b, c])` against continuation lo + c.  A single
-        triple takes the scalar walk, which is cheaper there.
+        `value(D[i], budgets[b, c])` against continuation lo + c, bitwise.
         """
         D = np.atleast_2d(np.asarray(D, dtype=float))
         budgets = _check_budgets(budgets)
         hi = len(self.R) if hi is None else hi
-        if len(D) == 1 and budgets.size == 1 and hi - lo == 1:
-            return np.array([[[self.row(lo).value(D[0], budgets.item())]]])
         rows = slice(lo, hi)
         # Padding past the block's longest row adds nothing.
         width = int(self.count[rows].max(initial=0))
@@ -285,8 +282,8 @@ class WelfareStepSolver:
     rows (`SegmentTable.row`): construction cost depends only on (r_out,
     m0, mask, weights), and `solve` and `value` can then be called for many
     (d_in, budget) pairs, which is what the maximin steps do.  Both walk the
-    row with a heap, one segment at a time: the reference the table's block
-    forms are checked against.
+    row with a heap, one segment at a time: the scalar steps' greedy (a
+    one-cell `solve_block` is `solve`), which the block forms equal bitwise.
     """
 
     def __init__(self, r_out, m0, mask, weights=None):
@@ -517,11 +514,6 @@ def two_population_block(table, lo, hi, a_in, budgets) -> tuple:
                 np.concatenate([m for _, m, _ in parts], axis=1), parts[0][2])
     R = table.R[lo:hi]
     dual = ((budgets > 0) & table.can_move)[:, None, :]
-    if not dual.any():
-        mats = np.empty((nb, n, k) + table.m0.shape)
-        mats[...] = table.m0
-        initial = _worst_values(table.col_base[lo:hi], a_in[:, None])
-        return np.repeat(initial[None], nb, axis=0), mats, dual
     a1, a2 = a_in[:, 0], a_in[:, 1]
     points, npoints = _merged_crossings(table, lo, hi, a1, a2)
     # W at every point and budget: the replay of `SegmentTable.value_block`.

@@ -56,10 +56,10 @@ def _as_vector(x) -> np.ndarray:
 class CostModel:
     """Per-edge pricing of probability-mass moves.
 
-    kind="l1" charges 1 per unit of absolute change on every edge.
-    kind="weighted_l1" charges weights[t][v, u] per unit of change on edge
-    (u -> v) of transition t; all weights must be strictly positive, and the
-    smallest weight plays the role of the linear growth constant.
+    kind="l1" charges 1 per unit of absolute change on every edge, and takes
+    no weights; "weighted_l1" charges weights[t][v, u] per unit of change on
+    edge (u -> v) of transition t, all strictly positive, the smallest one
+    playing the role of the linear growth constant.
     """
 
     kind: str = "l1"
@@ -69,6 +69,8 @@ class CostModel:
         if self.kind not in ("l1", "weighted_l1"):
             raise ValueError(f"unknown cost_model kind {self.kind!r}; "
                              "expected 'l1' or 'weighted_l1'")
+        if self.kind == "l1" and self.weights is not None:
+            raise ValueError("cost_model kind 'l1' takes no weights")
         if self.kind == "weighted_l1":
             if self.weights is None:
                 raise ValueError("weighted_l1 requires weight matrices")

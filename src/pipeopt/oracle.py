@@ -5,13 +5,13 @@ grid step eta (relative to the initial matrices, so the do-nothing plan is
 always included), evaluate all of them exactly, and return the best.  They
 share no machinery with the dynamic programs or the step solvers: evaluation
 is plain batched matrix algebra, which is what makes them usable as an
-independent check.  The piece lent the other way is `double_oracle`, the
-one loop that solves every zero-sum game in pipeopt, with no LP: the
-randomized solver runs it over its plans, the maximin step over greedy
-matrices, and `mixture_game` over an explicit game's rows, with Shapley &
-Snow's support enumeration as the restricted solver.  The ex-ante oracle
-runs it over the whole table: its best responses are exact argmaxes over
-every grid plan, so it needs no tolerance and no iteration cap.
+independent check.  The piece lent the other way is `double_oracle`, the one
+loop that solves every zero-sum game in pipeopt, with no LP: the randomized
+solver runs it over its plans, the maximin step over greedy matrices, and
+`mixture_game` over a large game's rows, with Shapley & Snow's support
+enumeration (a small game's whole solver) as the restricted solver.  The
+ex-ante oracle runs it over the whole table: its best responses are exact
+argmaxes over every grid plan, so it needs no tolerance and no iteration cap.
 
 Intended envelope: width <= 3, depth <= 4, eta coarse enough that the joint
 enumeration stays under the cap (10^7 plans by default; the cap is a
@@ -43,9 +43,9 @@ ORACLE_CAP = 10_000_000
 # numpy pass, large ones hold the suffix plus one block in memory.
 _BLOCK_ROWS = 1 << 16
 _SNAP = 1e-9
-# mixture_game starts from every row of a K x p game with at most this many
-# square supports, C(K + p, p) - 1 of them, and from one row otherwise.
-# Only games this small keep their support tables cached.
+# mixture_game enumerates a K x p game with at most this many square
+# supports, C(K + p, p) - 1 of them, at once, and runs a double oracle from
+# one row otherwise.  Only games this small keep their support tables cached.
 _SUPPORT_CAP = 500
 # One mixture_game call refuses (CapacityError) once its restricted games
 # would enumerate more square supports than this in all: at about 10 us a
@@ -401,17 +401,19 @@ def mixture_game(values) -> tuple:
     Rows are the designer's plans, columns the adversary's populations.
     Returns (v, lambda, mu): the designer's weights (entries at or below
     1e-10 dropped, the rest renormalized), the adversary's optimal
-    distribution, and v = min_j (lambda^T values)_j.  It is a double oracle
-    over the rows with `_support_game` as the restricted solver and the
-    best row against mu as the response.  A game with at most _SUPPORT_CAP
-    square supports starts from all its rows, so one pass solves it; a
-    larger one starts from its best row against the uniform adversary.
-    Raises CapacityError once the restricted games would enumerate more
-    than _GAME_CAP supports in all, and RuntimeError if a restricted game
+    distribution, and v = min_j (lambda^T values)_j.  A game with at most
+    _SUPPORT_CAP square supports is one `_support_game` enumeration; a
+    larger one is a double oracle over the rows, with `_support_game` as
+    the restricted solver and the best row against mu as the response,
+    started from the best row against the uniform adversary.  Raises
+    CapacityError once the restricted games would enumerate more than
+    _GAME_CAP supports in all, and RuntimeError if a (restricted) game
     cannot be certified.
     """
     values = np.asarray(values, dtype=float)
     k, p = values.shape
+    if _support_count(k, p) <= _SUPPORT_CAP:
+        return _certified_game(values)
     work = 0
 
     def respond(mu):
@@ -427,10 +429,9 @@ def mixture_game(values) -> tuple:
                 f"{_GAME_CAP} square supports (cap {_GAME_CAP})")
         return _certified_game(rows)
 
-    small = _support_count(k, p) <= _SUPPORT_CAP
-    start = range(k) if small else [respond(np.full(p, 1.0 / p))[0]]
+    start = respond(np.full(p, 1.0 / p))[0]
     _, lam, mu, keys, *_ = double_oracle(
-        respond, {i: values[i] for i in start}, _CERT_TOL * float(np.abs(values).max()),
+        respond, {start: values[start]}, _CERT_TOL * float(np.abs(values).max()),
         solve=solve)
     full = np.zeros(k)
     full[keys] = lam

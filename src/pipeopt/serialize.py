@@ -13,6 +13,8 @@ Instance schema (field names are part of the interface):
       "cost_model": {"kind": "l1"} |
                     {"kind": "weighted_l1", "weights": [W_1, ...]}   omitted = l1
     }
+
+Any other field, at the top level or in cost_model, is refused.
 """
 
 from __future__ import annotations
@@ -52,15 +54,21 @@ def instance_to_dict(instance: Instance) -> dict:
     return out
 
 
-def _json_object(value, name: str) -> dict:
+def _json_object(value, name: str, fields: tuple) -> dict:
+    """value, refused unless a JSON object with no key outside fields."""
     if not isinstance(value, dict):
         raise InputError(f"{name} must be a JSON object, got {type(value).__name__}")
+    unknown = [key for key in value if key not in fields]
+    if unknown:
+        raise InputError(f"unknown {name} field {', '.join(map(repr, unknown))}; "
+                         f"expected {', '.join(fields)}")
     return value
 
 
 def instance_from_dict(data: dict) -> Instance:
-    cm_data = _json_object(_json_object(data, "instance").get("cost_model", {}),
-                           "cost_model")
+    data = _json_object(data, "instance", ("layers", "rewards", "initial_distribution",
+                        "budget", "transitions", "malleable", "cost_model"))
+    cm_data = _json_object(data.get("cost_model", {}), "cost_model", ("kind", "weights"))
     try:
         instance = make_instance(
             layer_sizes=data["layers"],

@@ -373,6 +373,21 @@ MALFORMED = {
 }
 
 
+# Fields no solver reads, each once accepted and dropped: a misspelled mask
+# then solved as if every entry were malleable.
+IGNORED = {
+    "misspelled_malleable": (lambda d: d.__setitem__("maleable", d.pop("malleable")),
+                             "unknown instance field 'maleable'"),
+    "unknown_cost_model_field": (
+        lambda d: d.__setitem__("cost_model", {"kind": "l1", "scale": 2.0}),
+        "unknown cost_model field 'scale'"),
+    "unit_cost_weights": (lambda d: d.__setitem__("cost_model", {
+        "kind": "l1", "weights": [[[2.0] * len(row) for row in t]
+                                  for t in d["transitions"]]}),
+        "cost_model kind 'l1' takes no weights"),
+}
+
+
 def test_no_lp_no_scipy_optimize(tmp_path):
     # No command solves an LP, so none needs scipy: with every scipy import
     # blocked, a weighted welfare solve, a three-population maximin solve
@@ -451,6 +466,22 @@ class TestInputRefusal:
         assert run.stdout == ""
         assert message in run.stderr
         assert "Traceback" not in run.stderr
+
+    @pytest.mark.parametrize("case", sorted(IGNORED))
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["solve-welfare", "--epsilon", "0.25"],
+        ["solve-maximin", "--epsilon", "0.25"], ["solve-exante", "--epsilon", "0.25"],
+        ["oracle", "--grid", "0.5"], ["bounds"]], ids=lambda argv: argv[0])
+    def test_ignored_field_exits_2(self, capsys, tmp_path, case, argv):
+        edit, message = IGNORED[case]
+        path = tmp_path / "instance.json"
+        po.save_instance(po.random_instance(1, 2, 3, 0.5, 1.0), str(path))
+        bad = _mutate(path, tmp_path, edit)
+        code = main([argv[0], "--instance", bad, *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_integral_float_layer_sizes_accepted(self, capsys, tmp_path,
                                                  contrast_file):

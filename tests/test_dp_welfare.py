@@ -287,10 +287,19 @@ class TestBlockBuild:
     def test_cells_match_scalar_scan(self, block_rows, make, monkeypatch):
         if block_rows is not None:
             monkeypatch.setattr(dp_welfare, "_BLOCK_ROWS", block_rows)
+        # Each built layer's cell value vectors, as the build hands them on.
+        built = {}
+        group_layer = dp_welfare.BackwardDP._group_layer
+
+        def recording(dp, t, rvec):
+            built[t] = rvec
+            return group_layer(dp, t, rvec)
+
+        monkeypatch.setattr(dp_welfare.BackwardDP, "_group_layer", recording)
         dp = make()
         g = len(dp.grid)
         solvers = {}
-        for t, rvec in dp._rvec.items():
+        for t, rvec in built.items():
             table = dp._table[t]
             assert len(rvec) == len(table) * g
             for cell in range(len(rvec)):

@@ -658,6 +658,25 @@ class TestTwoPopulationDualStep:
         assert res.objective == float(((r_out @ m) @ a_in.T).min())
 
 
+class TestOneTriple:
+    """`value_block` of one input, one budget and one continuation."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(segment_tables())
+    # Weighted: every donor's hull has two edges.
+    @example(_block_case(*HULL_CASE[:2], [[0.5, 0.5], [1.0, 0.0]],
+                         [0.5, 1.5, 3.0], HULL_CASE[2]))
+    def test_equals_row_value(self, case):
+        R, m0, mask, d_in, budgets, weights = case
+        table = SegmentTable(R, m0, mask, weights)
+        for c in range(len(R)):
+            for d in d_in:
+                for b in budgets[:, c]:
+                    value = table.value_block(d, [[b]], c, c + 1)
+                    assert value.shape == (1, 1, 1)
+                    assert value.item() == table.row(c).value(d, b)
+
+
 @st.composite
 def two_population_blocks(draw):
     """(R, m0, mask, a_in, budgets, weights, lo, hi): a segment table case
@@ -739,6 +758,28 @@ class TestTwoPopulationBlock:
             assert values[b, r, c] == step.objective
             assert np.array_equal(mats[b, r, c], step.matrix)
             assert dual[b, 0, c] == (step.path == "dual")
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(two_population_blocks(), st.booleans())
+    def test_initial_blocks_equal_scalar(self, case, frozen):
+        # Every cell on the initial path: all budgets 0 or, when frozen, one
+        # malleable row, so no column can move mass.
+        R, m0, mask, a_in, budgets, weights, lo, hi = case
+        if frozen:
+            mask = np.zeros_like(mask)
+            mask[0] = True
+        else:
+            budgets = np.zeros_like(budgets)
+        table = SegmentTable(R, m0, mask, weights)
+        assert not (frozen and table.can_move)
+        values, mats, dual = two_population_block(table, lo, hi, a_in, budgets)
+        assert dual.shape == (len(budgets), 1, hi - lo) and not dual.any()
+        for b, r, c in np.ndindex(values.shape):
+            step = solve_maximin_step(WelfareStepSolver(R[lo + c], m0, mask, weights),
+                                      a_in[r], budgets[b, c])
+            assert step.path == "initial"
+            assert values[b, r, c] == step.objective
+            assert np.array_equal(mats[b, r, c], step.matrix)
 
     def test_row_chunks_price_as_one_block(self, monkeypatch):
         # A block past the entry cap is priced a row at a time.
@@ -829,3 +870,8 @@ class TestCostModel:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
             po.CostModel("weighted_l1", (np.zeros((2, 2)),))
+
+    def test_unit_costs_refuse_weights(self):
+        # Weights given with unit costs were once dropped without a word.
+        with pytest.raises(ValueError, match="'l1' takes no weights"):
+            po.CostModel("l1", (np.full((2, 2), 2.0),))

@@ -165,6 +165,16 @@ class TestMixtureGame:
         assert oracle._support_game(values) is not None
         self.assert_matches_lp(values)
 
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(small_games())
+    def test_small_game_is_one_enumeration(self, values):
+        # A small game is one enumeration, which is what a double oracle
+        # started from all its rows returns after its one pass.
+        assert math.comb(sum(values.shape), values.shape[1]) - 1 <= oracle._SUPPORT_CAP
+        (v, lam, mu), (v0, lam0, mu0) = mixture_game(values), oracle._certified_game(values)
+        assert v.hex() == v0.hex()
+        assert lam.tobytes() == lam0.tobytes() and mu.tobytes() == mu0.tobytes()
+
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
     @given(large_games())
     def test_double_oracle_matches_lp_above_cap(self, values):
