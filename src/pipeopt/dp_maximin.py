@@ -7,12 +7,13 @@ priced by the maximin step that maximizes the worst population's value,
 with unit or weighted costs alike, and no LP.  With two populations the
 step is a breakpoint search, and pricing hands whole blocks of (row,
 budget, candidate) cells to `two_population_block`, which prices them in
-numpy against the engine's layer table exactly as the scalar step would.
-With three or more it is a double oracle over greedy matrices, one
-`solve_maximin_step` per cell with the continuation's `WelfareStepSolver`
-row of that table.  Solving a query's step below the first layer is one
-`solve_maximin_step` for any number of populations.  At the first layer the
-population tuple is exact: each population sits on its own starting node.
+numpy against the engine's layer table.  With three or more it is a double
+oracle over greedy matrices, one `solve_maximin_step` per cell with the
+continuation's `WelfareStepSolver` row of that table.  Either way pricing
+hands back every step's matrix, and the engine keeps the winners', so a
+query solves only its first layer's steps and reads every deeper step from
+the memo.  At the first layer the population tuple is exact: each
+population sits on its own starting node.
 
 The step is symmetric in the populations, so a cell tracks a multiset of
 net points: C(n+p-1, p) multisets for an n-point net and p populations.
@@ -66,11 +67,6 @@ class MaximinDP(BackwardDP):
                   for a in a_in] for row in budgets]
         return (np.array([[[s.objective for s in r] for r in row] for row in steps]),
                 np.array([[[s.matrix for s in r] for r in row] for row in steps]))
-
-    def _solve_block(self, t, which, a_in, budgets):
-        table = self._segments(t)
-        return np.array([self._step(table.row(c), a, float(b)).matrix
-                         for c, a, b in zip(which, a_in, budgets)])
 
     def solve(self) -> tuple:
         """(memo objective, plan) starting from the exact per-node tuple."""

@@ -29,20 +29,24 @@ they can serve in `_price_block` calls of at most _BLOCK_ROWS rows and
 _BLOCK_ROWS (candidate, row, budget) triples, or of one candidate when its
 triples alone are more; within a block the first maximum wins, and a
 per-cell running best changes only on a strict improvement.  The build prices
-every table row at every budget index a candidate serves, then solves the
-winners' matrices with `_solve_block`, at most _BLOCK_ROWS cells a call
-sorted by winner, unless pricing already handed them back.  A query
-(`_query`, hence every best response of the randomized solver) prices its
-one first-layer cell as a one-row layer at the top budget index, so up to
-_BLOCK_ROWS of the first layer's candidates share a block, then follows the
-memo's winners down, solving each step with a one-cell `_solve_block`.  Both
-DPs read one `SegmentTable` per layer over all its candidates, built once.
-WelfareDP's hooks are its `value_block`/`solve_block`, a vectorized greedy
-that reproduces the scalar one bitwise, for unit and weighted costs alike.
-MaximinDP prices two populations with `layerlp.two_population_block`, which
-reproduces the scalar step bitwise, and three or more with one
+every table row at every budget index a candidate serves.  When pricing
+hands back the winners' matrices, the build keeps them per layer;
+otherwise it solves them with `_solve_block`, at most _BLOCK_ROWS cells a
+call sorted by winner.  A query (`_query`, hence every best response of the
+randomized solver) prices its one first-layer cell as a one-row layer at the
+top budget index, so up to _BLOCK_ROWS of the first layer's candidates share
+a block, then follows the memo's winners down, reading each step's matrix
+from the kept ones or, when the build kept none, solving it with a one-cell
+`_solve_block`.  So `_solve_block` is needed only by a DP whose pricing
+makes no matrices.  Both DPs read one `SegmentTable` per layer over all its
+candidates, built once.  WelfareDP's hooks are its
+`value_block`/`solve_block`, a vectorized greedy that reproduces the scalar
+one bitwise, for unit and weighted costs alike; its pricing makes values
+only.  MaximinDP prices two populations with
+`layerlp.two_population_block`, and three or more with one
 `solve_maximin_step` per step on the table's `WelfareStepSolver` row of the
-step's candidate; its `_solve_block` takes that scalar step for either.
+step's candidate; both hand back every step's matrix, so a maximin query
+makes no step call below its first layer.
 
 Welfare is the one-population case: a cell tracks one layer distribution and
 the step is the exact welfare step.  Everything below layer 1 is independent
@@ -123,9 +127,10 @@ class BackwardDP:
     prices layer t's candidates lo:hi against every row of the (rows, pops,
     s_t) stack `a_in`, candidate lo + c at budgets[b, c] (budgets is
     (nb, hi - lo)); it returns the (nb, rows, hi - lo) step values, plus the
-    matching matrices or None when pricing makes none.
-    `_solve_block(t, which, a_in, budgets)` returns the step matrices of
-    paired cells, a_in[i] at budgets[i] against candidate which[i].
+    matching matrices or None when pricing makes none.  Only a subclass
+    whose pricing makes none implements
+    `_solve_block(t, which, a_in, budgets)`, the step matrices of paired
+    cells, a_in[i] at budgets[i] against candidate which[i].
     """
 
     pops: int
@@ -154,6 +159,8 @@ class BackwardDP:
             self.nets[t], self._table[t] = nets_by_dim[d]
         self.profile = {}   # layer -> {cells, groups, priced_pairs} of the build
         self._choice = {}   # layer -> (cells,) winning candidate index
+        # layer -> (g, rows, ...) winners' matrices, when pricing makes them.
+        self._kept = {}
         # layer -> the candidates its cells scan.
         self._candidates = {instance.depth - 2: Candidates(
             np.zeros(1, dtype=np.intp), np.full(1, -1), instance.rewards[None])}
@@ -240,8 +247,9 @@ class BackwardDP:
     def _build(self):
         """Fill the memo one layer at a time with `_price_layer`.
 
-        The winners' matrices, unless pricing kept them, are then solved in
-        blocks of at most _BLOCK_ROWS cells, sorted by winning candidate.
+        When pricing hands back the winners' matrices, each layer's are
+        kept for queries; otherwise they are solved in blocks of at most
+        _BLOCK_ROWS cells, sorted by winning candidate.
         """
         inst = self.instance
         g = len(self.grid)
@@ -266,6 +274,7 @@ class BackwardDP:
                 # The stacked product reproduces `r_out @ m` per cell bitwise.
                 rvec[j, bi] = (candidates.value[which][:, None, :] @ mats)[:, 0]
             self._choice[t] = winner.T.ravel()
+            self._kept[t] = kept
             self._group_layer(t, rvec.reshape(n * g, -1))
             self.profile[t] = {
                 "cells": n * g,
@@ -277,28 +286,31 @@ class BackwardDP:
         """(memo chain value, reconstructed plan) from first-layer inputs.
 
         The first layer is priced as a one-row layer at the top budget
-        index; deeper layers follow the memo's winners.
+        index; deeper layers follow the memo's winners, whose matrices the
+        build kept when pricing made them.
         """
         inst = self.instance
         g = len(self.grid)
         t, bi = 0, g - 1
         best, winner, kept, _ = self._price_layer(t, a_in[None], lo=bi)
-        c = winner[0, 0]
-        matrix = None if kept is None else kept[0, 0]
+        c, at = winner[0, 0], (0, 0)  # the cell in `kept`: the query's one row
         mats, split = [], []
         while True:
             candidates = self._candidates[t]
             b_next, next_cell = candidates.budget[c], candidates.cell[c]
             step_budget = float(self.grid[bi] - self.grid[b_next])
-            if matrix is None:
+            if kept is None:
                 matrix = self._solve_block(t, [c], a_in[None], np.array([step_budget]))[0]
+            else:
+                matrix = kept[at].copy()  # the plan must not alias the memo
             mats.append(matrix)
             split.append(step_budget)
             if t == inst.depth - 2:
                 break
             t, bi = t + 1, b_next
-            a_in = self.nets[t][self._table[t][next_cell // g]]
-            c, matrix = self._choice[t][next_cell], None
+            row = next_cell // g
+            a_in = self.nets[t][self._table[t][row]]
+            c, kept, at = self._choice[t][next_cell], self._kept[t], (bi, row)
         plan = InterventionPlan(matrices=tuple(mats), budget_split=tuple(split))
         return float(best[0, 0]), plan
 

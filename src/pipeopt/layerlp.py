@@ -21,30 +21,30 @@ that table: `value_block`/`solve_block`, a numpy replay of the greedy for
 many (continuation, input, budget) triples at once, which the welfare DP
 prices and solves every step with (and `two_population_block` its side
 matrices); and `WelfareStepSolver`, one row's scalar heap walk, which
-solves a single cell and the scalar maximin steps, and which the block
-forms equal bitwise.
+solves a single cell and the game step's best responses, and which the
+block forms equal bitwise.
 
 The maximin step couples populations, and needs no LP either.  By the
 minimax theorem its value is the smallest welfare-step value over mixtures
 of the population inputs.  With two populations that minimum sits exactly at
 a breakpoint of the greedy order, and the optimal matrix mixes the greedy
-matrices on either side of it (`_two_population_step`).  With three or more
-the step is a zero-sum game between the designer's greedy matrices and the
-adversary's population mix, solved by `oracle.double_oracle` (Kelley's
-cutting planes, in game form: `_game_step`).  Every step reports the exact
-worst-population value of the matrix it returns.
+matrices on either side of it (`two_population_block`, which prices many
+cells at once; `solve_maximin_step` prices one as a one-cell block).  With
+three or more the step is a zero-sum game between the designer's greedy
+matrices and the adversary's population mix, solved by
+`oracle.double_oracle` (Kelley's cutting planes, in game form:
+`_game_step`).  Every step reports the exact worst-population value of the
+matrix it returns.
 
 Both dynamic programs build one table per layer over all its continuations
 (their r_out and the layer's m0, mask and weights): the welfare DP prices
 through its block forms; the maximin DP prices two populations through
-`two_population_block`, the two-population step for many cells at once and
-bitwise the same, and three or more through `solve_maximin_step` with the
-table's rows (`SegmentTable.row`).
+`two_population_block`, and three or more through `solve_maximin_step` with
+the table's rows (`SegmentTable.row`).
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -152,7 +152,8 @@ class SegmentTable:
 
     def __init__(self, R, m0, mask, weights=None):
         self.R = np.asarray(R, dtype=float)
-        self.m0 = np.asarray(m0, dtype=float)
+        # C-ordered: `col_base` below and a copy of m0 must round alike.
+        self.m0 = np.ascontiguousarray(m0, dtype=float)
         self.mask = np.asarray(mask, dtype=bool)
         if self.m0.shape != self.mask.shape:
             raise ValueError("mask shape does not match matrix")
@@ -281,9 +282,9 @@ class WelfareStepSolver:
     The one-continuation case of `SegmentTable`, or a view of one of its
     rows (`SegmentTable.row`): construction cost depends only on (r_out,
     m0, mask, weights), and `solve` and `value` can then be called for many
-    (d_in, budget) pairs, which is what the maximin steps do.  Both walk the
-    row with a heap, one segment at a time: the scalar steps' greedy (a
-    one-cell `solve_block` is `solve`), which the block forms equal bitwise.
+    (d_in, budget) pairs, which is what the game step does.  Both walk the
+    row with a heap, one segment at a time: the scalar greedy (a one-cell
+    `solve_block` is `solve`), which the block forms equal bitwise.
     """
 
     def __init__(self, r_out, m0, mask, weights=None):
@@ -304,13 +305,6 @@ class WelfareStepSolver:
         # heap walk reads it one offset at a time.
         offsets = np.searchsorted(self._col, np.arange(self.m0.shape[1] + 1))
         self._start = offsets.tolist()
-
-    @functools.cached_property
-    def _cross_pairs(self):
-        """Segment pairs i < j in different columns: ranks that swap as inputs mix."""
-        i, j = np.triu_indices(len(self._rate), k=1)
-        cross = self._col[i] != self._col[j]
-        return i[cross], j[cross]
 
     def _walk(self, d_in, budget):
         """Yield (column, segment index, budget_taken) in global greedy order."""
@@ -364,80 +358,22 @@ class WelfareStepSolver:
 _CROSSING_MERGE_TOL = 1e-12
 
 
-def _two_population_step(solver, a_in, budget) -> LayerStepResult:
-    """Exact maximin step for two populations, without an LP.
-
-    The step value min_j r_out^T M a_j is bilinear in M and in the population
-    weight lam, and both sets are convex and compact, so by the minimax
-    theorem it equals the minimum over lam in [0, 1] of the welfare step
-    W(lam) = max_M r_out^T M d(lam), d(lam) = lam a_1 + (1 - lam) a_2.  W is
-    convex and piecewise linear: the greedy order, and with it the greedy
-    matrix, changes only where two segments of different columns swap rank
-    (a column's segments all scale with its input, whatever the cost
-    model), so the minimum sits at 0, 1 or one of those crossings.  The greedy
-    matrices of the pieces on either side of the minimizer are both optimal
-    there, one favouring each population; their mix that equalizes the two
-    population values attains the minimum, and it is feasible because the
-    feasible set is convex.
-    """
-    r_out = solver.r_out
-    a1, a2 = a_in
-    rate, col = solver._rate, solver._col
-    # Effective rate of segment s at lam: base[s] + lam * slope[s].
-    base = rate * a2[col]
-    slope = rate * (a1 - a2)[col]
-    i, j = solver._cross_pairs
-    cross = slope[i] != slope[j]
-    i, j = i[cross], j[cross]
-    # A subnormal input can put a crossing past the float range: inf, dropped.
-    with np.errstate(over="ignore"):
-        lams = (base[j] - base[i]) / (slope[i] - slope[j])
-    lams = np.sort(lams[(lams > _CROSSING_MERGE_TOL)
-                        & (lams < 1.0 - _CROSSING_MERGE_TOL)])
-    points = [0.0]
-    for lam in lams:
-        if lam - points[-1] > _CROSSING_MERGE_TOL:
-            points.append(float(lam))
-    points.append(1.0)
-
-    def mix(lam):
-        return lam * a1 + (1.0 - lam) * a2
-
-    k = int(np.array([solver.value(mix(lam), budget) for lam in points]).argmin())
-    # Greedy matrix of each piece next to the minimizer, taken at its middle.
-    pieces = points[max(k - 1, 0):k + 2]
-    sides = [solver.solve(mix(0.5 * (lo + hi)), budget).matrix
-             for lo, hi in zip(pieces, pieces[1:])]
-    m = sides[0]
-    if len(sides) == 2:
-        left, right = sides
-        # gap = value(population 1) - value(population 2): <= 0 on the left
-        # piece and >= 0 on the right one, up to rounding.
-        gap_l, gap_r = (float((r_out @ s) @ (a1 - a2)) for s in sides)
-        theta = gap_r / (gap_r - gap_l) if gap_r > gap_l else 1.0
-        theta = min(max(theta, 0.0), 1.0)
-        # Entries both sides agree on, the frozen ones among them, stay
-        # bitwise; the mix would change them in the last bit.
-        m = np.where(left == right, left, theta * left + (1.0 - theta) * right)
-    values = (r_out @ m) @ a_in.T
-    return LayerStepResult(matrix=m, objective=float(values.min()), path="dual")
-
-
 # Most (cell, point, segment) entries one `two_population_block` call's
 # greedy replay may span; a larger block is priced in row chunks.
 _PAIR_BLOCK_ENTRIES = 1 << 20
 
 
 def _merged_crossings(table, lo, hi, a1, a2):
-    """The breakpoints `_two_population_step` keeps, for every (row, candidate).
+    """The breakpoints of W for every (row, candidate).
 
-    Returns the (n, hi - lo, P) points, 0, the kept crossings ascending and
-    1, padded with more 1s (which price exactly as the first), and the
-    (n, hi - lo) number of real points.  A crossing is kept when it lies
-    more than _CROSSING_MERGE_TOL past the previous one; that agrees with
-    the step's sequential rule (past the previous *kept* one) unless a
-    dropped crossing lies that far past the last kept one, which takes a
-    chain of drops, and such rows are merged sequentially.
+    The breakpoints are 0, each crossing in (0, 1) that lies more than
+    _CROSSING_MERGE_TOL past the previous kept one, ascending, and 1.
+    Returns the (n, hi - lo, P) points, padded with more 1s (which price
+    exactly as the first), and the (n, hi - lo) number of real points.  A
+    crossing is kept at once when it lies that far past the previous
+    crossing; that agrees with the sequential rule unless a dropped crossing
+    lies that far past the last kept one, which takes a chain of drops, and
+    such rows are merged sequentially.
     """
     count = table.count[lo:hi]
     w = int(count.max(initial=0))
@@ -481,18 +417,32 @@ def _worst_values(rm, a_in):
 
 
 def two_population_block(table, lo, hi, a_in, budgets) -> tuple:
-    """`solve_maximin_step` of two populations for many cells, bitwise.
+    """The exact maximin step of two populations for many cells, without an LP.
+
+    The step value min_j r_out^T M a_j is bilinear in M and in the population
+    weight lam, and both sets are convex and compact, so by the minimax
+    theorem it equals the minimum over lam in [0, 1] of the welfare step
+    W(lam) = max_M r_out^T M d(lam), d(lam) = lam a_1 + (1 - lam) a_2.  W is
+    convex and piecewise linear: the greedy order, and with it the greedy
+    matrix, changes only where two segments of different columns swap rank
+    (a column's segments all scale with its input, whatever the cost
+    model), so the minimum sits at 0, 1 or one of those crossings.  The
+    greedy matrices of the pieces on either side of the minimizer are both
+    optimal there, one favouring each population; their mix that equalizes
+    the two population values attains the minimum, and it is feasible
+    because the feasible set is convex.
 
     Prices candidates lo:hi of the `SegmentTable` against every row of the
     (n, 2, s) stack a_in, candidate lo + c at budgets[b, c] (budgets is
-    (nb, hi - lo)), each cell exactly as `_two_population_step` (or the
-    initial path) prices it: W at every kept breakpoint in one greedy
-    replay, the first minimum, the matrices of the pieces on both sides of
-    it in one `SegmentTable.solve_block` call (a side the step does not
-    use is solved and dropped), then the equalizing mix.  Returns the
-    (nb, n, hi - lo) values, the matching (nb, n, hi - lo, rows, s)
-    matrices, and the (nb, 1, hi - lo) mask of the cells on the dual path;
-    the others (no budget, or nothing movable) keep m0.
+    (nb, hi - lo)): W at every breakpoint in one greedy replay, the first
+    minimum, the greedy matrices of the pieces on both sides of it (taken
+    at their middles) in one `SegmentTable.solve_block` call (at either end
+    of [0, 1] the one piece there is, the other side being solved and
+    dropped), then the equalizing mix.  Returns the (nb, n, hi - lo)
+    values, each the exact worst-population value of its matrix, the
+    matching (nb, n, hi - lo, rows, s) matrices, and the (nb, 1, hi - lo)
+    mask of the cells on the dual path; the others (no budget, or nothing
+    movable) keep m0.
     """
     # Contiguous, as the DP's stacks are: BLAS may sum a strided pair in
     # another order.
@@ -601,10 +551,10 @@ def solve_maximin_step(solver, a_in, budget_step) -> LayerStepResult:
     """Maximize min_j r_out^T M a_in[j] over the feasible M of `solver`'s step.
 
     a_in is a (populations, source-layer-size) array of per-population input
-    distributions.  One population is the welfare step; without budget, or
-    without a column of >= 2 malleable entries, nothing can move and m0 is
-    returned; otherwise two populations take `_two_population_step` and
-    three or more `_game_step`.
+    distributions.  One population is the welfare step; two are a one-cell
+    `two_population_block` on a table of the solver's row; without
+    budget, or without a column of >= 2 malleable entries, nothing can move
+    and m0 is returned; otherwise three or more take `_game_step`.
     """
     # Contiguous: BLAS sums a strided a_in in another order, so the same
     # numbers would give other bits.
@@ -618,9 +568,16 @@ def solve_maximin_step(solver, a_in, budget_step) -> LayerStepResult:
         raise ValueError(f"budget must be non-negative, got {budget_step}")
     if len(a_in) == 1:
         return solver.solve(a_in[0], budget_step)
+    if len(a_in) == 2:
+        # A one-row table of its own: a row solver that kept the table it
+        # reads would form a cycle with `SegmentTable.row`'s cache, and hold
+        # every such table until the garbage collector runs.
+        table = SegmentTable(solver.r_out[None], solver.m0, solver.mask, solver.weights)
+        values, mats, dual = two_population_block(table, 0, 1, a_in[None], [[budget_step]])
+        return LayerStepResult(matrix=mats[0, 0, 0], objective=float(values[0, 0, 0]),
+                               path="dual" if dual[0, 0, 0] else "initial")
     if budget_step > 0 and solver.can_move:
-        step = _two_population_step if len(a_in) == 2 else _game_step
-        return step(solver, a_in, budget_step)
+        return _game_step(solver, a_in, budget_step)
     m = solver.m0.copy()
     values = (solver.r_out @ m) @ a_in.T
     return LayerStepResult(matrix=m, objective=float(values.min()), path="initial")

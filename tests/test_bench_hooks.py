@@ -8,6 +8,7 @@ the hooks here fails at once instead.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pipeopt as po
@@ -26,13 +27,25 @@ def perfbench():
     return layers, tracer
 
 
+def _three_populations():
+    """Layers (3, 2, 2): three populations, one built layer."""
+    gen = np.random.default_rng(2000)
+    mats = []
+    for rows, cols in [(2, 3), (2, 2)]:
+        raw = gen.uniform(0.05, 1.0, (rows, cols))
+        mats.append(raw / raw.sum(axis=0))
+    return po.make_instance((3, 2, 2), mats, (1.0, 0.2), (0.3, 0.3, 0.4), 0.5)
+
+
 def test_hooks_install_and_restore(perfbench):
     layers, tracer = perfbench
     originals = [getattr(owner, attr) for owner, attr, _ in layers.WRAPS]
     trace = layers.LayerTrace(tracer.Tracer())
     trace.install()
     try:
-        po.solve_expost_maximin(po.random_instance(2000, 2, 3, 1.0, 0.5), 0.5)
+        # Three populations, so the build prices through the wrapped
+        # `solve_maximin_step`; one interior layer, so one net.
+        po.solve_expost_maximin(_three_populations(), 0.5)
         po.solve_social_welfare(po.random_instance(1000, 2, 3, 1.0, 0.5), 0.5)
     finally:
         trace.restore()

@@ -10,6 +10,8 @@ import pipeopt as po
 from pipeopt import dp_maximin
 from pipeopt.dp_welfare import dp_cell_count
 from pipeopt.errors import CapacityError
+from pipeopt.layerlp import WelfareStepSolver, solve_maximin_step
+from step_reference import two_population_step
 
 rng = np.random.default_rng(88)
 
@@ -129,7 +131,8 @@ class TestReportAndCaps:
     def test_per_layer_profile_counts_every_build_step(self):
         # The build keeps each winner's matrix, so beyond the priced pairs a
         # solve makes only the query's steps: one per first-layer candidate
-        # at the full budget, then one per deeper layer.
+        # at the full budget, and none below, whose matrices it reads from
+        # the memo.
         inst = po.random_instance(38, 2, 4, 1.0, 1.0)
         dp = po.MaximinDP(inst, 0.5)
         profile = dp.meta()["profile"]
@@ -138,14 +141,14 @@ class TestReportAndCaps:
         assert built == sum(p["priced_pairs"] for p in profile.values())
         dp.solve()
         first_layer = len(dp._candidates[0].cell)
-        assert sum(dp.step_calls.values()) == built + first_layer + inst.depth - 2
+        assert sum(dp.step_calls.values()) == built + first_layer
 
     def test_one_step_solver_per_continuation(self, monkeypatch):
         # Three populations price step by step: every step against one
         # continuation shares one solver, a row of its layer's segment
         # table, however many (row, budget) pairs the build prices against
-        # it.  Two populations price whole blocks, so only a solve's steps
-        # below the first layer reach the scalar step.
+        # it.  Two populations price whole blocks, build and solve alike,
+        # so no step reaches `solve_maximin_step`.
         used, calls = {}, []
         step = dp_maximin.solve_maximin_step
 
@@ -168,7 +171,7 @@ class TestReportAndCaps:
         dp = po.MaximinDP(inst, 0.25)
         assert calls == []
         dp.solve()
-        assert calls == [2] * (inst.depth - 2)
+        assert calls == []
 
     def test_population_tuple_counts(self):
         # Every layer tracks the multisets of `width` net points, and the
@@ -187,6 +190,79 @@ class TestReportAndCaps:
         with pytest.raises(CapacityError):
             po.solve_expost_maximin(inst, 0.05, cells_cap=500)
 
+
+def _rebuilt_plan(dp):
+    """`dp`'s plan rebuilt one step at a time with the scalar steps.
+
+    The first layer is scanned candidate by candidate at the full budget
+    (the first strict `>` wins), then the memo's winners are followed down;
+    each step is solved afresh, with the reference step for two populations
+    and `solve_maximin_step` for three or more.
+    """
+    inst, grid = dp.instance, dp.grid
+    g = len(grid)
+    step = two_population_step if dp.pops == 2 else solve_maximin_step
+
+    def solve(t, c, a_in, bi):
+        candidates = dp._candidates[t]
+        solver = WelfareStepSolver(candidates.value[c], inst.initial_matrices[t],
+                                   inst.malleable[t], inst.cost_model.layer_weights(t))
+        return step(solver, a_in, float(grid[bi] - grid[candidates.budget[c]]))
+
+    a_in, bi = np.eye(dp.pops), g - 1
+    scan = [solve(0, c, a_in, bi).objective for c in range(len(dp._candidates[0].cell))]
+    c = int(np.argmax(scan))  # the first maximum
+    mats, split = [], []
+    for t in range(inst.depth - 1):
+        mats.append(solve(t, c, a_in, bi).matrix)
+        b_next, cell = dp._candidates[t].budget[c], dp._candidates[t].cell[c]
+        split.append(float(grid[bi] - grid[b_next]))
+        if cell >= 0:
+            a_in, bi = dp.nets[t + 1][dp._table[t + 1][cell // g]], b_next
+            c = dp._choice[t + 1][cell]
+    return mats, split
+
+
+class TestQuery:
+    """A query reads every step below its first layer from the memo."""
+
+    @pytest.mark.parametrize("make, eps", [
+        (lambda: po.random_instance(34, 2, 4, 1.0, 1.0), 0.5),
+        (lambda: po.random_instance(41, 2, 5, 0.7, 1.2), 0.5),
+        (lambda: _uniform_weights(po.random_instance(42, 2, 4, 1.0, 1.0), 1.5), 0.25),
+        (lambda: _three_populations(7), 0.5),
+        (lambda: _uniform_weights(_three_populations(8), 1.5), 0.5),
+    ], ids=["two-depth4", "two-depth5-masked", "two-depth4-weighted", "three-depth4",
+            "three-depth4-weighted"])
+    def test_plan_equals_stepwise_rebuild(self, make, eps, monkeypatch):
+        inst = make()
+        assert inst.depth >= 4
+        dp = po.MaximinDP(inst, eps)
+        calls = []
+        step = dp_maximin.solve_maximin_step
+
+        def recording_step(solver, a_in, budget):
+            calls.append(np.array(a_in))
+            return step(solver, a_in, budget)
+
+        monkeypatch.setattr(dp_maximin, "solve_maximin_step", recording_step)
+        built = sum(dp.step_calls.values())
+        _, plan = dp.solve()
+        # Only the first layer's candidates are priced, each once, at the
+        # exact per-node tuple; two populations price them as one block.
+        first_layer = len(dp._candidates[0].cell)
+        assert sum(dp.step_calls.values()) == built + first_layer
+        assert len(calls) == (0 if dp.pops == 2 else first_layer)
+        assert all(np.array_equal(a, np.eye(dp.pops)) for a in calls)
+        mats, split = _rebuilt_plan(dp)
+        assert plan.budget_split == tuple(split)
+        assert len(plan.matrices) == len(mats)
+        for got, want in zip(plan.matrices, mats):
+            assert got.tobytes() == want.tobytes()
+        # The plan owns its matrices: changing one leaves the memo alone.
+        plan.matrices[-1][:] = np.nan
+        _, again = dp.solve()
+        assert again.matrices[-1].tobytes() == mats[-1].tobytes()
 
 
 class TestEngine:

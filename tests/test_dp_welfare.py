@@ -8,8 +8,9 @@ import pytest
 import pipeopt as po
 from pipeopt import dp_welfare
 from pipeopt.errors import CapacityError
-from pipeopt.layerlp import WelfareStepSolver, solve_maximin_step
+from pipeopt.layerlp import WelfareStepSolver
 from pipeopt.oracle import GridPlanTable
+from step_reference import two_population_step
 
 rng = np.random.default_rng(77)
 
@@ -220,7 +221,9 @@ def _wide(seed, budget):
 
 
 def reference_scan(dp, t, a_in, bi, solvers):
-    """One cell priced candidate by candidate with the scalar step solvers.
+    """One cell priced candidate by candidate with the scalar steps (the
+    two-population reference step for maximin, which every maximin case
+    here has).
 
     Returns (value, winning candidate index, its matrix); the first strict
     `>` in candidate order wins.  `solvers` caches welfare step solvers per
@@ -236,8 +239,8 @@ def reference_scan(dp, t, a_in, bi, solvers):
         budget = float(dp.grid[bi] - dp.grid[b_next])
         if isinstance(dp, po.MaximinDP):
             # A fresh solver per step, against the DP's one per continuation.
-            res = solve_maximin_step(WelfareStepSolver(r_out, m0, mask, weights),
-                                     a_in, budget)
+            res = two_population_step(WelfareStepSolver(r_out, m0, mask, weights),
+                                      a_in, budget)
             value, matrix = res.objective, res.matrix
         else:
             if (t, next_cell) not in solvers:

@@ -7,6 +7,7 @@ from scipy.optimize import linprog
 
 import pipeopt as po
 from lp_reference import epigraph_lp
+from step_reference import two_population_step
 from pipeopt import layerlp
 from pipeopt.layerlp import (SegmentTable, WelfareStepSolver, solve_maximin_step,
                              two_population_block)
@@ -259,6 +260,22 @@ class TestMaximinStep:
         assert res.path == "initial"
         np.testing.assert_array_equal(res.matrix, m0)
         assert res.objective == float(((solver.r_out @ res.matrix) @ a_in.T).min())
+
+    def test_fortran_m0_prices_as_its_c_copy(self):
+        # The table keeps m0 C-ordered, so its base column values round as
+        # the C-ordered matrices it returns: the budget-zero value of the
+        # greedy and of the two-population block is the returned matrix's.
+        r_out = np.array([123.71, 847.97, 258.13, 247.28])
+        top = np.array([[0.309, 0.154], [0.223, 0.365], [0.079, 0.019]])
+        m0 = np.asfortranarray(np.vstack([top, 1.0 - top.sum(axis=0)]))
+        mask = np.ones((4, 2), dtype=bool)
+        solver = WelfareStepSolver(r_out, m0, mask)
+        for d in np.random.default_rng(4200).dirichlet(np.ones(2), size=200):
+            assert solver.value(d, 0.0) == solver.solve(d, 0.0).objective
+        a_in = np.array([[[0.85, 0.15], [0.84, 0.16]]])
+        values, mats, _ = two_population_block(SegmentTable(r_out[None], m0, mask),
+                                               0, 1, a_in, [[0.0]])
+        assert values[0, 0, 0] == float(((r_out @ mats[0, 0, 0]) @ a_in[0].T).min())
 
     @pytest.mark.parametrize("pops", [2, 3])
     @pytest.mark.parametrize("budget", [0.0, 0.3])
@@ -720,8 +737,15 @@ CHAIN = ([1.0, 0.0], np.vstack([np.zeros(4), np.ones(4)]),
          [[[1.0, 1e-11, 1.07e-11, 0.0], [0.0, 1e-11, 1.07e-11, 1.14e-11 / (1 - 1.14e-11)]]])
 
 
+def _assert_same_step(got, want):
+    assert got.objective == want.objective
+    assert np.array_equal(got.matrix, want.matrix)
+    assert got.path == want.path
+
+
 class TestTwoPopulationBlock:
-    """The block two-population step against the scalar step per cell, bitwise."""
+    """The block two-population step, and `solve_maximin_step` of two
+    populations, against the scalar reference step per cell, bitwise."""
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(two_population_blocks())
@@ -753,11 +777,12 @@ class TestTwoPopulationBlock:
         table = SegmentTable(R, m0, mask, weights)
         values, mats, dual = two_population_block(table, lo, hi, a_in, budgets)
         for b, r, c in np.ndindex(values.shape):
-            step = solve_maximin_step(WelfareStepSolver(R[lo + c], m0, mask, weights),
-                                      a_in[r], budgets[b, c])
+            solver = WelfareStepSolver(R[lo + c], m0, mask, weights)
+            step = two_population_step(solver, a_in[r], budgets[b, c])
             assert values[b, r, c] == step.objective
             assert np.array_equal(mats[b, r, c], step.matrix)
             assert dual[b, 0, c] == (step.path == "dual")
+            _assert_same_step(solve_maximin_step(solver, a_in[r], budgets[b, c]), step)
 
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
     @given(two_population_blocks(), st.booleans())
@@ -775,11 +800,12 @@ class TestTwoPopulationBlock:
         values, mats, dual = two_population_block(table, lo, hi, a_in, budgets)
         assert dual.shape == (len(budgets), 1, hi - lo) and not dual.any()
         for b, r, c in np.ndindex(values.shape):
-            step = solve_maximin_step(WelfareStepSolver(R[lo + c], m0, mask, weights),
-                                      a_in[r], budgets[b, c])
+            solver = WelfareStepSolver(R[lo + c], m0, mask, weights)
+            step = two_population_step(solver, a_in[r], budgets[b, c])
             assert step.path == "initial"
             assert values[b, r, c] == step.objective
             assert np.array_equal(mats[b, r, c], step.matrix)
+            _assert_same_step(solve_maximin_step(solver, a_in[r], budgets[b, c]), step)
 
     def test_row_chunks_price_as_one_block(self, monkeypatch):
         # A block past the entry cap is priced a row at a time.
